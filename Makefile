@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check race docs-check cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
+.PHONY: build test vet fmt check flake race docs-check cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,12 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 check: fmt vet build test
+
+# Repeat the asynchronous layers' suites: a test that reads an undrained
+# ensemble or races a worker's apply passes most runs and fails some, and
+# five back-to-back runs turn that into a deterministic CI failure.
+flake:
+	$(GO) test -count=5 ./internal/cluster/ ./internal/shard/ ./internal/serve/
 
 # Everything under the race detector (CI runs this; the concurrency-heavy
 # packages are pipeline, shard, and serve).

@@ -55,6 +55,7 @@ func TestProcessBatchAllocs(t *testing.T) {
 		name string
 		kind pattern.Kind
 	}{
+		{"wedge", pattern.Wedge},
 		{"triangle", pattern.Triangle},
 		{"4-clique", pattern.FourClique},
 	} {

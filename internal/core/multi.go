@@ -78,8 +78,9 @@ type multiEstimator struct {
 	estimate  float64
 	prods     []float64
 	instances int
-	// sinkSum accumulates this pattern's contributions when the event runs on
-	// the CliqueSink fast path (clique kinds only; see MultiCounter.sink).
+	// sinkSum holds this pattern's contributions when the event runs on a
+	// fold path: the CliqueSink for clique kinds (see MultiCounter.sink), the
+	// wedge fold (foldWedges) for the wedge.
 	sinkSum float64
 }
 
@@ -132,6 +133,10 @@ type MultiCounter struct {
 	arrA, arrB               []float64
 	sinkTemporal             bool
 	triIdx, fourIdx, fiveIdx int
+	// wedgeIdx is the wedge's pattern slot (-1 when not counted). The wedge
+	// runs on foldWedges, exactly as Counter's, so its insertFns/deleteFns
+	// entries are nil and the completers skip it.
+	wedgeIdx int
 
 	lastState weights.State
 }
@@ -161,10 +166,13 @@ func NewMulti(cfg MultiConfig) (*MultiCounter, error) {
 	}
 	c.insertFns = make([]func([]graph.Edge, []any) bool, len(cfg.Patterns))
 	c.deleteFns = make([]func([]graph.Edge, []any) bool, len(cfg.Patterns))
-	c.triIdx, c.fourIdx, c.fiveIdx = -1, -1, -1
+	c.triIdx, c.fourIdx, c.fiveIdx, c.wedgeIdx = -1, -1, -1, -1
 	for i, p := range cfg.Patterns {
 		c.pats[i].kind = p
 		switch p {
+		case pattern.Wedge:
+			c.wedgeIdx = i
+			continue
 		case pattern.Triangle:
 			c.triIdx = i
 		case pattern.FourClique:
@@ -356,30 +364,26 @@ func (c *MultiCounter) insert(e graph.Edge) {
 	// are observed against the same reservoir state, with the clique kinds
 	// sharing the common-neighborhood collection. When the reservoir supports
 	// sorted intersection (always, for the counter's own reservoir), the
-	// clique kinds run on the zero-materialization sink path; wedge and
-	// 4-cycle always go through their insertFns.
+	// clique kinds run on the zero-materialization sink path; the wedge runs
+	// on foldWedges and the 4-cycle goes through its insertFns.
 	c.sinkTemporal = !c.cfg.SkipTemporal && c.pats[0].kind.IsClique()
 	c.gFac, c.arrA, c.arrB = c.gFac[:0], c.arrA[:0], c.arrB[:0]
 	for i := range c.pats {
 		c.pats[i].sinkSum = 0
 	}
+	if w := c.wedgeIdx; w >= 0 {
+		var temporal []float64
+		if w == 0 && !c.cfg.SkipTemporal {
+			temporal = c.temporal
+		}
+		p := &c.pats[w]
+		p.sinkSum, p.instances = foldWedges(c.res, e, c.tauQ, c.cfg.TemporalAgg, temporal, c.count)
+	}
 	usedSink := c.multi.ForEachWithSink(c.res, e.U, e.V, c.insertFns, c.sink)
 	if !usedSink {
 		c.multi.ForEach(c.res, e.U, e.V, c.insertFns)
 	}
-	scale := 1.0
-	if c.cfg.EventWeight != nil {
-		scale = c.cfg.EventWeight(e)
-	}
-	for i := range c.pats {
-		var sum float64
-		if usedSink && c.pats[i].kind.IsClique() {
-			sum = c.pats[i].sinkSum
-		} else {
-			sum = sumSorted(c.pats[i].prods)
-		}
-		c.pats[i].estimate += scale * sum
-	}
+	c.apply(e, usedSink, +1)
 	instances := c.pats[0].instances
 	if !c.cfg.SkipTemporal {
 		if c.cfg.TemporalAgg == AggAvg {
@@ -436,24 +440,34 @@ func (c *MultiCounter) delete(e graph.Edge) {
 	c.curEdge = e
 	c.sinkTemporal = false
 	c.gFac = c.gFac[:0]
+	if w := c.wedgeIdx; w >= 0 {
+		c.pats[w].sinkSum, _ = foldWedges(c.res, e, c.tauQ, c.cfg.TemporalAgg, nil, nil)
+	}
 	usedSink := c.multi.ForEachWithSink(c.res, e.U, e.V, c.deleteFns, c.sink)
 	if !usedSink {
 		c.multi.ForEach(c.res, e.U, e.V, c.deleteFns)
 	}
+	c.apply(e, usedSink, -1)
+	c.res.Remove(e)
+}
+
+// apply adds (sign +1, insertion) or subtracts (sign -1, deletion) every
+// pattern's event sum, scaled by the event weight. Folded kinds — the wedge,
+// and the clique kinds when the sink ran — carry their sum in sinkSum; the
+// rest fold their collected prods in sorted order.
+func (c *MultiCounter) apply(e graph.Edge, usedSink bool, sign float64) {
 	scale := 1.0
 	if c.cfg.EventWeight != nil {
 		scale = c.cfg.EventWeight(e)
 	}
 	for i := range c.pats {
-		var sum float64
-		if usedSink && c.pats[i].kind.IsClique() {
-			sum = c.pats[i].sinkSum
-		} else {
-			sum = sumSorted(c.pats[i].prods)
+		p := &c.pats[i]
+		sum := p.sinkSum
+		if p.kind != pattern.Wedge && !(usedSink && p.kind.IsClique()) {
+			sum = sumSorted(p.prods)
 		}
-		c.pats[i].estimate -= scale * sum
+		p.estimate += sign * (scale * sum)
 	}
-	c.res.Remove(e)
 }
 
 // multiSink is MultiCounter's pattern.CliqueSink implementation, the

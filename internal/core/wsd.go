@@ -129,11 +129,9 @@ type Counter struct {
 	count    []int64
 	arrivals []float64
 	vec      []float64
-	// prods collects one event's instance contributions so they can be
-	// added to the estimate in sorted order: float addition is not
-	// associative, so accumulating in enumeration order would tie the
-	// estimate's last ULP to the enumeration order, breaking the
-	// bit-identical checkpoint/resume guarantee if the order ever changes.
+	// prods collects one event's instance contributions on the generic
+	// Completer route so they can be added to the estimate in sorted order
+	// (see sumProds).
 	prods []float64
 
 	// comp is the completion enumerator, with its scratch and iteration
@@ -162,6 +160,9 @@ type Counter struct {
 	arrA, arrB   []float64
 	sinkSum      float64
 	sinkTemporal bool
+	// wedge selects the wedge fold (foldWedges) for pattern Wedge when no
+	// OnInstance hook needs the materialized instances.
+	wedge bool
 
 	// lastState records the most recent MDP state handed to the weight
 	// function; exposed for the RL environment and for policy analysis.
@@ -198,8 +199,13 @@ func New(cfg Config) (*Counter, error) {
 	}
 	c.insertVisit = c.observeInsert
 	c.deleteVisit = c.observeDelete
-	if cfg.Pattern.IsClique() && cfg.OnInstance == nil {
-		c.sink = (*counterSink)(c)
+	if cfg.OnInstance == nil {
+		switch {
+		case cfg.Pattern.IsClique():
+			c.sink = (*counterSink)(c)
+		case cfg.Pattern == pattern.Wedge:
+			c.wedge = true
+		}
 	}
 	c.wScale = 1
 	if cfg.Temporal.Window > 0 {
@@ -378,19 +384,21 @@ func (c *Counter) insert(e graph.Edge) {
 	c.instances = 0
 	c.prods = c.prods[:0]
 	c.curEdge = e
+	c.sinkSum, c.sinkTemporal = 0, !c.cfg.SkipTemporal
+	c.gFac, c.arrA, c.arrB = c.gFac[:0], c.arrA[:0], c.arrB[:0]
 	var sum float64
-	if c.sink != nil {
-		c.sinkSum, c.sinkTemporal = 0, !c.cfg.SkipTemporal
-		c.gFac, c.arrA, c.arrB = c.gFac[:0], c.arrA[:0], c.arrB[:0]
-		if c.comp.ForEachClique(c.res, e.U, e.V, c.sink) {
-			sum = c.sinkSum
-		} else {
-			// The view stopped supporting intersection (never the counter's
-			// own reservoir); fall back to the materializing path.
-			c.comp.ForEach(c.res, e.U, e.V, c.insertVisit)
-			sum = c.sumProds()
+	switch {
+	case c.wedge:
+		var temporal []float64
+		if !c.cfg.SkipTemporal {
+			temporal = c.temporal
 		}
-	} else {
+		sum, c.instances = foldWedges(c.res, e, c.tauQ, c.cfg.TemporalAgg, temporal, c.count)
+	case c.sink != nil && c.comp.ForEachClique(c.res, e.U, e.V, c.sink):
+		sum = c.sinkSum
+	default:
+		// The generic route: an OnInstance hook observes the instances, or
+		// the pattern is the 4-cycle.
 		c.comp.ForEach(c.res, e.U, e.V, c.insertVisit)
 		sum = c.sumProds()
 	}
@@ -517,17 +525,15 @@ func (c *Counter) deleteEdge(e graph.Edge) {
 	// reservoir just before the deletion is applied.
 	c.prods = c.prods[:0]
 	c.curEdge = e
+	c.sinkSum, c.sinkTemporal = 0, false
+	c.gFac = c.gFac[:0]
 	var sum float64
-	if c.sink != nil {
-		c.sinkSum, c.sinkTemporal = 0, false
-		c.gFac = c.gFac[:0]
-		if c.comp.ForEachClique(c.res, e.U, e.V, c.sink) {
-			sum = c.sinkSum
-		} else {
-			c.comp.ForEach(c.res, e.U, e.V, c.deleteVisit)
-			sum = c.sumProds()
-		}
-	} else {
+	switch {
+	case c.wedge:
+		sum, _ = foldWedges(c.res, e, c.tauQ, c.cfg.TemporalAgg, nil, nil)
+	case c.sink != nil && c.comp.ForEachClique(c.res, e.U, e.V, c.sink):
+		sum = c.sinkSum
+	default:
 		c.comp.ForEach(c.res, e.U, e.V, c.deleteVisit)
 		sum = c.sumProds()
 	}
@@ -540,11 +546,15 @@ func (c *Counter) deleteEdge(e graph.Edge) {
 	c.res.Remove(e)
 }
 
-// sumProds folds the current event's instance contributions in sorted order,
-// so the total is independent of the (randomized) map iteration order the
-// enumeration visited them in. Without this, float non-associativity makes
-// estimates differ in their last ULP between identical runs, which the
-// bit-identical checkpoint/resume tests would catch as divergence.
+// sumProds folds the current event's instance contributions in sorted order.
+// Only the generic Completer route reaches it: the 4-cycle, and any pattern
+// whose instances an OnInstance hook observes. That route's visiting order is
+// whatever the enumerator's walk produces, and float addition is not
+// associative, so sorting first makes the sum a function of the contribution
+// multiset alone: a change to the walk cannot move an estimate's last ULP and
+// break bit-identical checkpoint/resume. The clique sink and the wedge fold
+// need no sort because they sum in sorted-adjacency order, which restore
+// rebuilds identically from the same reservoir content.
 func (c *Counter) sumProds() float64 { return sumSorted(c.prods) }
 
 // counterSink is Counter's pattern.CliqueSink implementation (a type alias
@@ -645,6 +655,49 @@ func (c *Counter) foldArrivals(arr []float64) {
 		}
 		c.count[j]++
 	}
+}
+
+// foldWedges is the wedge estimator's whole per-event update (Eqs. 11-12 on
+// the 2-edge pattern), shared by Counter and MultiCounter. A wedge completed
+// by e = {a, b} is one sampled edge {a, x} or {b, x}, so its contribution is
+// that edge's inverse inclusion probability max(1, tau_q/w) (Lemma 1), and
+// the update is one pass over a's and then b's sorted adjacency. The opposite
+// endpoint is skipped: it is the event edge itself when a sampled edge is
+// deleted. Contributions are summed in adjacency order, which restore
+// rebuilds identically, so the sum needs no sort to keep checkpoint/resume
+// bit-identical. It returns the sum and the instance count; when temporal is
+// non-nil, each instance's single other arrival is also aggregated into
+// temporal[0] and count[0] (Eq. 20 with |H| = 2).
+func foldWedges(res *reservoir.Reservoir, e graph.Edge, tq float64, agg TemporalAgg, temporal []float64, count []int64) (sum float64, n int) {
+	for _, ends := range [2][2]graph.VertexID{{e.U, e.V}, {e.V, e.U}} {
+		vs, its := res.Adjacency(ends[0])
+		for i, x := range vs {
+			if x == ends[1] {
+				continue
+			}
+			it := its[i]
+			g := tq * it.InvWeight()
+			if !(g > 1) {
+				g = 1
+			}
+			sum += g
+			n++
+			if temporal == nil {
+				continue
+			}
+			a := float64(it.Arrival)
+			switch agg {
+			case AggMax:
+				if a > temporal[0] {
+					temporal[0] = a
+				}
+			case AggAvg:
+				temporal[0] += a
+			}
+			count[0]++
+		}
+	}
+	return sum, n
 }
 
 // sumSorted sorts prods in place and returns their sum: the order-independent

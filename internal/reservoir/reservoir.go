@@ -461,6 +461,16 @@ func (r *Reservoir) HasEdge(u, v graph.VertexID) bool {
 // Degree implements pattern.View over all stored items.
 func (r *Reservoir) Degree(u graph.VertexID) int { return len(r.list(u).vs) }
 
+// Adjacency returns u's incident edges as two parallel slices sorted
+// ascending by neighbor ID: vs[i] is the neighbor and its[i] the sampled item
+// of edge {u, vs[i]}. Restore rebuilds the same order from the same content,
+// so a fold over these slices is deterministic. The slices alias the index:
+// they are read-only and valid only until the next mutation.
+func (r *Reservoir) Adjacency(u graph.VertexID) (vs []graph.VertexID, its []*Item) {
+	l := r.list(u)
+	return l.vs, l.its
+}
+
 // LiveDegree returns the number of non-DEL-tagged edges incident to u.
 func (r *Reservoir) LiveDegree(u graph.VertexID) int {
 	return len(r.list(u).vs) - r.tagged[u]

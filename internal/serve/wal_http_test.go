@@ -50,6 +50,9 @@ func TestCatchUpEndpointAndWALHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	post(t, ts.URL+"/ingest", body.Bytes())
+	// Workers apply accepted batches asynchronously; the fleet-wide /flush
+	// barrier makes every ingested event applied before /healthz is read.
+	post(t, ts.URL+"/flush", nil)
 
 	// Worker /healthz reports its absolute stream position — the value the
 	// coordinator's catch-up probe aligns against the log.

@@ -142,11 +142,17 @@ type Entry struct {
 // edge), pops aged entries from the head, and marks entries dead when a
 // genuine deletion consumes them first.
 //
+// Entries live in a circular buffer addressed by push sequence number: the
+// entry pushed s-th sits in slot s mod len(buf), and the membership index
+// stores s itself. Advancing the head therefore never moves an entry or
+// rewrites the index; only growth (doubling when the buffer is full) copies
+// the pending entries into their new slots.
+//
 // The zero Ring is empty and ready to use.
 type Ring struct {
-	entries []Entry
-	head    int
-	idx     map[graph.Edge]int // live entries only; value indexes entries
+	buf        []Entry               // power-of-two length; slot s&(len-1) holds entry s
+	head, tail uint64                // pending entries are sequence numbers [head, tail)
+	idx        map[graph.Edge]uint64 // live entries only; value is the sequence number
 }
 
 // Len returns the number of live (non-dead, non-expired) edges.
@@ -158,35 +164,39 @@ func (r *Ring) Has(e graph.Edge) bool {
 	return ok
 }
 
+// at returns the slot holding pending entry s.
+func (r *Ring) at(s uint64) *Entry { return &r.buf[s&uint64(len(r.buf)-1)] }
+
 // Push records the insertion of e at tick at. Ticks must be non-decreasing.
 // If e is already live (the caller should have checked Has first), the old
 // entry is marked dead so membership stays single-valued.
 func (r *Ring) Push(e graph.Edge, at int64) {
 	if r.idx == nil {
-		r.idx = make(map[graph.Edge]int)
+		r.idx = make(map[graph.Edge]uint64)
 	}
-	if r.head > 0 && r.head*2 >= len(r.entries) {
-		r.compact()
+	if r.tail-r.head == uint64(len(r.buf)) {
+		r.grow()
 	}
-	if i, ok := r.idx[e]; ok {
-		r.entries[i].Dead = true
+	if s, ok := r.idx[e]; ok {
+		r.at(s).Dead = true
 	}
-	r.entries = append(r.entries, Entry{Edge: e, At: at})
-	r.idx[e] = len(r.entries) - 1
+	*r.at(r.tail) = Entry{Edge: e, At: at}
+	r.idx[e] = r.tail
+	r.tail++
 }
 
-// compact drops the expired prefix so the backing slice stays proportional
-// to the pending entry count over arbitrarily long streams. Amortized O(1)
-// per Push: it only runs when at least half the slice is expired.
-func (r *Ring) compact() {
-	n := copy(r.entries, r.entries[r.head:])
-	r.entries = r.entries[:n]
-	for i, ent := range r.entries {
-		if !ent.Dead {
-			r.idx[ent.Edge] = i
-		}
+// grow doubles the buffer, moving each pending entry to its slot under the
+// new length. Sequence numbers, and so the index, are unchanged.
+func (r *Ring) grow() {
+	n := 2 * len(r.buf)
+	if n == 0 {
+		n = 16
 	}
-	r.head = 0
+	old := r.buf
+	r.buf = make([]Entry, n)
+	for s := r.head; s < r.tail; s++ {
+		*r.at(s) = old[s&uint64(len(old)-1)]
+	}
 }
 
 // Kill marks the live entry for e dead (a genuine stream deletion consumed
@@ -195,11 +205,11 @@ func (r *Ring) compact() {
 // must then ignore the deletion entirely, or it would subtract instances the
 // windowed estimate no longer counts.
 func (r *Ring) Kill(e graph.Edge) bool {
-	i, ok := r.idx[e]
+	s, ok := r.idx[e]
 	if !ok {
 		return false
 	}
-	r.entries[i].Dead = true
+	r.at(s).Dead = true
 	delete(r.idx, e)
 	return true
 }
@@ -209,8 +219,8 @@ func (r *Ring) Kill(e graph.Edge) bool {
 // the estimate when the genuine deletion was applied) and the scan continues
 // to the next head. The boolean is false when nothing is left to expire.
 func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
-	for r.head < len(r.entries) {
-		ent := r.entries[r.head]
+	for r.head < r.tail {
+		ent := r.at(r.head)
 		if ent.At > cutoff {
 			break
 		}
@@ -221,10 +231,6 @@ func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
 		delete(r.idx, ent.Edge)
 		return ent.Edge, true
 	}
-	if r.head > 0 && r.head == len(r.entries) {
-		r.entries = r.entries[:0]
-		r.head = 0
-	}
 	return graph.Edge{}, false
 }
 
@@ -232,7 +238,9 @@ func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
 // included — exactly the state a snapshot must carry to resume
 // bit-identically.
 func (r *Ring) Entries() []Entry {
-	out := make([]Entry, len(r.entries)-r.head)
-	copy(out, r.entries[r.head:])
+	out := make([]Entry, 0, r.tail-r.head)
+	for s := r.head; s < r.tail; s++ {
+		out = append(out, *r.at(s))
+	}
 	return out
 }
