@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check flake race docs-check cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
+.PHONY: build test vet fmt check flake perf-test race docs-check cluster-smoke wal-smoke partition-smoke enum-smoke policy-smoke window-smoke bench bench-tables bench-suite bench-compare
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ check: fmt vet build test
 # five back-to-back runs turn that into a deterministic CI failure.
 flake:
 	$(GO) test -count=5 ./internal/cluster/ ./internal/shard/ ./internal/serve/
+
+# The repository benchmark's own unit tests. wsdperf is a separate module
+# (it imports this one through a replace directive), so go test ./... at the
+# root does not reach it.
+perf-test:
+	cd wsdperf && $(GO) test ./...
 
 # Everything under the race detector (CI runs this; the concurrency-heavy
 # packages are pipeline, shard, and serve).

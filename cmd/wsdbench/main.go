@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/benchsuite"
+	"repro/internal/cli"
 	"repro/internal/experiment"
 )
 
@@ -223,7 +224,11 @@ func ids() []string {
 	return out
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command body. It returns the exit code instead of calling
+// os.Exit, so the deferred profile stop runs on every path.
+func run() (code int) {
 	exp := flag.String("exp", "", "experiment id (or 'all')")
 	full := flag.Bool("full", false, "use the paper-scale profile (100 trials, 1000 DDPG iterations)")
 	trials := flag.Int("trials", 0, "override the number of sampling trials")
@@ -235,11 +240,26 @@ func main() {
 	tolTime := flag.Float64("tolerance", 0, "with -compare: allowed relative events/s drop (default 0.10)")
 	tolAllocs := flag.Float64("alloc-tolerance", 0, "with -compare: allowed relative allocs/event rise (default 0.10)")
 	tolMRE := flag.Float64("mre-tolerance", 0, "with -compare: allowed relative MRE rise (default 0.50)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	flag.Parse()
+
+	stopProfile, err := cli.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wsdbench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "wsdbench: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	if *list {
 		fmt.Println(strings.Join(ids(), "\n"))
-		return
+		return 0
 	}
 	if *only != "" {
 		for _, part := range strings.Split(*only, ",") {
@@ -251,10 +271,10 @@ func main() {
 	if *compare {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: wsdbench -compare [-tolerance X] [-alloc-tolerance Y] [-mre-tolerance Z] old.json new.json")
-			os.Exit(2)
+			return 2
 		}
 		tol := benchsuite.Tolerances{Throughput: *tolTime, Allocs: *tolAllocs, MRE: *tolMRE}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), tol))
+		return runCompare(flag.Arg(0), flag.Arg(1), tol)
 	}
 	prof := experiment.Quick()
 	if *full {
@@ -269,24 +289,24 @@ func main() {
 	if *jsonOut {
 		if *exp != "suite" {
 			fmt.Fprintln(os.Stderr, "wsdbench: -json requires -exp suite")
-			os.Exit(2)
+			return 2
 		}
 		rep, err := benchsuite.Run(suiteConfig(prof))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsdbench: suite: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		out, err := rep.Encode()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsdbench: suite: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		os.Stdout.Write(out)
-		return
+		return 0
 	}
 	if *exp == "" {
 		fmt.Fprintln(os.Stderr, "usage: wsdbench -exp <id>|all [-full] [-trials N] [-seed S] [-json]; -list shows ids; -compare diffs suite reports")
-		os.Exit(2)
+		return 2
 	}
 
 	var selected []string
@@ -296,7 +316,7 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			if _, ok := experiments[id]; !ok {
 				fmt.Fprintf(os.Stderr, "wsdbench: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, id)
 		}
@@ -306,9 +326,10 @@ func main() {
 		t, err := experiments[id](prof)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "wsdbench: %s: %v\n", id, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println(t.String())
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

@@ -55,6 +55,15 @@ import (
 )
 
 func main() {
+	if err := runCommand(); err != nil {
+		fmt.Fprintf(os.Stderr, "wsdload: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// runCommand is the command body. It returns its error instead of exiting,
+// so the deferred fleet and profile stops run on every path.
+func runCommand() (err error) {
 	addr := flag.String("addr", "", "base URL of an existing wsdserve worker or coordinator to drive (exclusive with -fleet)")
 	fleet := flag.Int("fleet", 0, "start this many in-process workers plus a coordinator on loopback and drive the coordinator (exclusive with -addr)")
 	rate := flag.Float64("rate", 50_000, "target sustained ingest rate in events/sec")
@@ -73,17 +82,28 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the run as a benchsuite-schema JSON report on stdout")
 	appendPath := flag.String("append", "", "append the run as a reference row to this benchsuite report file (e.g. BENCH_baseline.json)")
 	maxP99 := flag.Float64("max-p99", 0, "fail (exit 1) if ingest p99 exceeds this many milliseconds or any request errored")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	flag.Parse()
 
+	stopProfile, err := cli.StartCPUProfile(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfile(); err == nil {
+			err = perr
+		}
+	}()
+
 	if (*addr == "") == (*fleet == 0) {
-		fatal(fmt.Errorf("exactly one of -addr and -fleet is required"))
+		return fmt.Errorf("exactly one of -addr and -fleet is required")
 	}
 	if *rate <= 0 || *batch <= 0 {
-		fatal(fmt.Errorf("-rate and -batch must be positive"))
+		return fmt.Errorf("-rate and -batch must be positive")
 	}
 	kind, err := cli.ParsePattern(*pat)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	target := *addr
@@ -91,7 +111,7 @@ func main() {
 		var stop func()
 		target, stop, err = startFleet(*fleet, kind, *m, *shards, *win, *halflife, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer stop()
 	}
@@ -103,7 +123,7 @@ func main() {
 		vertices: *vertices, deleteFrac: *deleteFrac,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res.Workload = *workload
 	res.Pattern = kind.String()
@@ -112,7 +132,7 @@ func main() {
 
 	if *appendPath != "" {
 		if err := appendReference(*appendPath, res); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wsdload: appended reference row %q to %s\n", res.Workload, *appendPath)
 	}
@@ -130,7 +150,7 @@ func main() {
 		}
 		out, err := rep.Encode()
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		os.Stdout.Write(out)
 	} else {
@@ -145,12 +165,13 @@ func main() {
 
 	if *maxP99 > 0 {
 		if res.Errors > 0 {
-			fatal(fmt.Errorf("%d request(s) failed during the run", res.Errors))
+			return fmt.Errorf("%d request(s) failed during the run", res.Errors)
 		}
 		if res.IngestP99Ms > *maxP99 {
-			fatal(fmt.Errorf("ingest p99 %.2fms exceeds the %.2fms bound", res.IngestP99Ms, *maxP99))
+			return fmt.Errorf("ingest p99 %.2fms exceeds the %.2fms bound", res.IngestP99Ms, *maxP99)
 		}
 	}
+	return nil
 }
 
 // startFleet boots n single-mode workers and a coordinator front end on
@@ -415,9 +436,4 @@ func appendReference(path string, res benchsuite.Result) error {
 		return err
 	}
 	return os.WriteFile(path, out, 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "wsdload: %v\n", err)
-	os.Exit(1)
 }

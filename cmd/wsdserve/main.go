@@ -50,6 +50,26 @@ import (
 	"repro/internal/wal"
 )
 
+// Slow-client limits on the listener: a client has readHeaderTimeout to send
+// its request line and headers, and a keep-alive connection idle for
+// idleTimeout is closed. Request bodies get no deadline of their own, since
+// a large /ingest or /restore body may legitimately take longer to upload.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's http.Server with the slow-client
+// limits set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	mode := flag.String("mode", "single", "serving mode: single (one sharded counter in this process) or coordinator (scatter/gather over -workers)")
@@ -214,7 +234,7 @@ func main() {
 		booted()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 	go func() {
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fatal(err)

@@ -1,9 +1,27 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 )
+
+// TestHTTPServerTimeouts pins the listener's slow-client limits: a client
+// that trickles its headers, or parks an idle keep-alive connection, must
+// not hold a connection open forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer(":0", h)
+	if srv.Addr != ":0" || srv.Handler != h {
+		t.Fatalf("server addr %q handler %v, want :0 and the given mux", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want the positive constant %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want the positive constant %v", srv.IdleTimeout, idleTimeout)
+	}
+}
 
 // TestFlagConflict pins the fail-fast matrix: every flag combination the
 // process would otherwise silently ignore must be rejected before anything

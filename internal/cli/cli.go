@@ -1,11 +1,13 @@
 // Package cli holds the parsing and lookup helpers shared by the command-line
-// tools (wsdcount, wsdtrain, wsdgen, wsdbench), kept out of the main packages
-// so they are unit-testable.
+// tools (wsdcount, wsdtrain, wsdgen, wsdbench, wsdload), kept out of the main
+// packages so they are unit-testable.
 package cli
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime/pprof"
 	"strings"
 
 	"repro/internal/experiment"
@@ -135,4 +137,25 @@ func GenerateModel(model string, p ModelParams, rng *rand.Rand) ([]graph.Edge, e
 		return gen.PlantedPartition(p.Communities, p.N/p.Communities, p.P, 0.001, rng), nil
 	}
 	return nil, fmt.Errorf("unknown model %q (ff, hk, ba, er, copy, planted)", model)
+}
+
+// StartCPUProfile starts writing a CPU profile to path (read it with go tool
+// pprof) and returns the function that finishes the profile and closes the
+// file. An empty path profiles nothing.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/experiment"
@@ -119,5 +121,36 @@ func TestParseWorkers(t *testing.T) {
 		if _, err := ParseWorkers(in); err == nil {
 			t.Errorf("%s (%q): accepted", name, in)
 		}
+	}
+}
+
+// TestStartCPUProfile checks that a started profile lands on disk as a
+// gzip-compressed pprof file once stopped, that an empty path is a no-op, and
+// that an unwritable path is an error.
+func TestStartCPUProfile(t *testing.T) {
+	stop, err := StartCPUProfile("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	stop, err = StartCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is %d bytes without the gzip header", len(data))
+	}
+	if _, err := StartCPUProfile(filepath.Join(t.TempDir(), "missing", "cpu.pprof")); err == nil {
+		t.Fatal("profile into a missing directory started")
 	}
 }

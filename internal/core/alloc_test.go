@@ -7,6 +7,7 @@ import (
 	"repro/internal/pattern"
 	"repro/internal/stream"
 	"repro/internal/weights"
+	"repro/internal/window"
 	"repro/internal/xrand"
 )
 
@@ -52,12 +53,20 @@ func steadyBlock(n, vertices int) []stream.Event {
 // dropped buffer reuse in the hot path shows up here as a hard failure.
 func TestProcessBatchAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind pattern.Kind
+		name     string
+		kind     pattern.Kind
+		temporal window.Spec
 	}{
-		{"wedge", pattern.Wedge},
-		{"triangle", pattern.Triangle},
-		{"4-clique", pattern.FourClique},
+		{"wedge", pattern.Wedge, window.Spec{}},
+		{"triangle", pattern.Triangle, window.Spec{}},
+		{"4-clique", pattern.FourClique, window.Spec{}},
+		// Sliding windows: the ring's buffer and live index must reach a
+		// steady size too. The block deletes every edge 48 insertions after
+		// inserting it, so the long window expires only dead entries while
+		// the short one replays live edges through the deletion path and
+		// then sees their stream deletions refused.
+		{"triangle/window-2000", pattern.Triangle, window.Spec{Window: 2000}},
+		{"triangle/window-40", pattern.Triangle, window.Spec{Window: 40}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(Config{
@@ -66,6 +75,7 @@ func TestProcessBatchAllocs(t *testing.T) {
 				Weight:       weights.GPSDefault(),
 				Rng:          xrand.New(5),
 				SkipTemporal: true,
+				Temporal:     tc.temporal,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -223,10 +223,10 @@ func (s *Snapshot) Validate() error {
 
 // validateTemporal checks the version-5 temporal fields: a well-formed mode,
 // decay state only under decay, ring state only under a window, and a ring
-// that is internally consistent (ordered ticks, unique live edges, every
-// sampled edge live — expiry removes edges from the reservoir and the ring
-// together, so a reservoir edge missing from the ring would later dodge
-// expiry and corrupt the estimate).
+// that is internally consistent (ordered ticks, each edge's live entry last
+// among its entries, every sampled edge live — expiry removes edges from the
+// reservoir and the ring together, so a reservoir edge missing from the ring
+// would later dodge expiry and corrupt the estimate).
 func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 	spec := window.Spec{Window: s.Window, Halflife: s.Halflife}
 	if err := spec.Validate(); err != nil {
@@ -258,10 +258,13 @@ func (s *Snapshot) validateTemporal(items map[graph.Edge]bool) error {
 			return fmt.Errorf("core: snapshot ring tick %d out of order (prev %d, insertions %d)", ent.At, prev, s.Insertions)
 		}
 		prev = ent.At
+		// A live entry is its edge's last: the ring refuses to push an edge
+		// that is still live, so Push/Kill replay could not rebuild an entry
+		// listed after it.
+		if live[e] {
+			return fmt.Errorf("core: snapshot ring lists edge %v after its live entry", e)
+		}
 		if !ent.Dead {
-			if live[e] {
-				return fmt.Errorf("core: snapshot ring lists live edge %v twice", e)
-			}
 			live[e] = true
 		}
 	}

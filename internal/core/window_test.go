@@ -313,6 +313,7 @@ func TestSnapshotValidateTemporal(t *testing.T) {
 		{"ring-tick-beyond-insertions", func(s *Snapshot) { s.Ring[2].At = 9 }},
 		{"ring-loop-edge", func(s *Snapshot) { s.Ring[2].U, s.Ring[2].V = 5, 5 }},
 		{"ring-duplicate-live", func(s *Snapshot) { s.Ring[2].U, s.Ring[2].V = 1, 2 }},
+		{"ring-dead-after-live", func(s *Snapshot) { s.Ring[2].U, s.Ring[2].V, s.Ring[2].Dead = 1, 2, true }},
 		{"sampled-edge-not-live", func(s *Snapshot) { s.Ring[0].Dead = true }},
 	}
 	for _, c := range cases {

@@ -336,19 +336,22 @@ func (c *Counter) observeDelete(others []graph.Edge, payloads []any) bool {
 }
 
 func (c *Counter) insert(e graph.Edge) {
-	if c.win != nil && c.win.Has(e) {
-		// Infeasible duplicate insertion: the edge is still live inside the
-		// window. (Membership is checked before this tick's expiry, so an
-		// edge whose previous copy ages out exactly now is still rejected —
-		// the windowed oracle mirrors the same rule.)
-		return
-	}
 	if _, ok := c.res.Get(e); ok {
 		// Infeasible duplicate insertion; the problem definition forbids it.
 		return
 	}
-	c.insertions++
-	tk := c.insertions
+	// Window mode: every surviving insertion enters the ledger, sampled or
+	// not — the deletion estimator (Eq. 12) updates on edges outside the
+	// reservoir too, so expiry must replay every aged edge. The ring refuses
+	// an edge that is still live inside the window: an infeasible duplicate
+	// insertion. (Membership is checked before this tick's expiry, so an
+	// edge whose previous copy ages out exactly now is still rejected — the
+	// windowed oracle mirrors the same rule.)
+	tk := c.insertions + 1
+	if c.win != nil && !c.win.Push(e, tk) {
+		return
+	}
+	c.insertions = tk
 	if c.win != nil {
 		// Sliding window: replay edges older than tk - Window through the
 		// proven deletion path before the new edge's completions are
@@ -428,13 +431,6 @@ func (c *Counter) insert(e graph.Edge) {
 		DegV:      c.res.Degree(e.V),
 		Temporal:  c.temporal,
 		Now:       tk,
-	}
-
-	if c.win != nil {
-		// Every surviving insertion enters the ledger, sampled or not: the
-		// deletion estimator (Eq. 12) updates on edges outside the
-		// reservoir too, so expiry must replay every aged edge.
-		c.win.Push(e, tk)
 	}
 
 	// Algorithm 1, insert(e): weight, rank, then Cases 1 and 2.

@@ -30,6 +30,7 @@ package window
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/graph"
@@ -143,46 +144,130 @@ type Entry struct {
 // genuine deletion consumes them first.
 //
 // Entries live in a circular buffer addressed by push sequence number: the
-// entry pushed s-th sits in slot s mod len(buf), and the membership index
-// stores s itself. Advancing the head therefore never moves an entry or
-// rewrites the index; only growth (doubling when the buffer is full) copies
+// entry pushed s-th sits in slot s mod len(buf). Advancing the head therefore
+// never moves an entry; only growth (doubling when the buffer is full) copies
 // the pending entries into their new slots.
+//
+// Live membership is an open-addressed index over the same sequence numbers:
+// a power-of-two table of {edge key, s+1} slots (0 marks an empty slot),
+// probed linearly from a multiplicative hash of the key. Deletion shifts the
+// rest of the probe chain back instead of leaving tombstones, and the table
+// doubles before it passes 3/4 load, so every chain stays short. Push, Kill
+// and ExpireOne each cost one probe: Push claims its slot in the same probe
+// that detects a live duplicate, and Kill and ExpireOne find the slot they
+// clear.
 //
 // The zero Ring is empty and ready to use.
 type Ring struct {
-	buf        []Entry               // power-of-two length; slot s&(len-1) holds entry s
-	head, tail uint64                // pending entries are sequence numbers [head, tail)
-	idx        map[graph.Edge]uint64 // live entries only; value is the sequence number
+	buf        []Entry // power-of-two length; slot s&(len-1) holds entry s
+	head, tail uint64  // pending entries are sequence numbers [head, tail)
+	idx        []slot  // live entries only; power-of-two length
+	shift      uint    // 64 - log2(len(idx)): the hash keeps the top bits
+	live       int     // occupied idx slots
+}
+
+// slot is one live-index cell: the edge packed as U<<32|V and its entry's
+// sequence number plus one, so the zero slot is empty.
+type slot struct {
+	key, seq uint64
+}
+
+// Fibonacci hashing: multiply by 2^64/phi and keep the top bits.
+const hashMul = 0x9E3779B97F4A7C15
+
+func edgeKey(e graph.Edge) uint64 { return uint64(e.U)<<32 | uint64(e.V) }
+
+// home is the slot a key's probe chain starts at.
+func (r *Ring) home(k uint64) uint64 { return (k * hashMul) >> r.shift }
+
+// find returns the index slot holding key k.
+func (r *Ring) find(k uint64) (uint64, bool) {
+	if r.live == 0 {
+		return 0, false
+	}
+	mask := uint64(len(r.idx) - 1)
+	for i := r.home(k); r.idx[i].seq != 0; i = (i + 1) & mask {
+		if r.idx[i].key == k {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// unlink empties index slot i and shifts the rest of its probe chain back
+// so that no lookup ever stops early at the hole: a later entry moves into
+// the hole unless its home slot lies cyclically after the hole.
+func (r *Ring) unlink(i uint64) {
+	mask := uint64(len(r.idx) - 1)
+	for j := (i + 1) & mask; r.idx[j].seq != 0; j = (j + 1) & mask {
+		if (j-r.home(r.idx[j].key))&mask >= (j-i)&mask {
+			r.idx[i] = r.idx[j]
+			i = j
+		}
+	}
+	r.idx[i] = slot{}
+	r.live--
+}
+
+// growIndex doubles the index (to 16 slots from empty) and re-inserts every
+// live slot.
+func (r *Ring) growIndex() {
+	n := 2 * len(r.idx)
+	if n == 0 {
+		n = 16
+	}
+	old := r.idx
+	r.idx = make([]slot, n)
+	r.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	mask := uint64(n - 1)
+	for _, sl := range old {
+		if sl.seq == 0 {
+			continue
+		}
+		i := r.home(sl.key)
+		for r.idx[i].seq != 0 {
+			i = (i + 1) & mask
+		}
+		r.idx[i] = sl
+	}
 }
 
 // Len returns the number of live (non-dead, non-expired) edges.
-func (r *Ring) Len() int { return len(r.idx) }
+func (r *Ring) Len() int { return r.live }
 
 // Has reports whether e is live in the window.
 func (r *Ring) Has(e graph.Edge) bool {
-	_, ok := r.idx[e]
+	_, ok := r.find(edgeKey(e))
 	return ok
 }
 
 // at returns the slot holding pending entry s.
 func (r *Ring) at(s uint64) *Entry { return &r.buf[s&uint64(len(r.buf)-1)] }
 
-// Push records the insertion of e at tick at. Ticks must be non-decreasing.
-// If e is already live (the caller should have checked Has first), the old
-// entry is marked dead so membership stays single-valued.
-func (r *Ring) Push(e graph.Edge, at int64) {
-	if r.idx == nil {
-		r.idx = make(map[graph.Edge]uint64)
+// Push records the insertion of e at tick at and reports whether it did.
+// Ticks must be non-decreasing. An edge that is already live is refused and
+// nothing is recorded: the window holds at most one live copy of an edge, so
+// a caller can use Push itself as its duplicate-insertion check.
+func (r *Ring) Push(e graph.Edge, at int64) bool {
+	if 4*(r.live+1) > 3*len(r.idx) {
+		r.growIndex()
+	}
+	k := edgeKey(e)
+	mask := uint64(len(r.idx) - 1)
+	i := r.home(k)
+	for ; r.idx[i].seq != 0; i = (i + 1) & mask {
+		if r.idx[i].key == k {
+			return false
+		}
 	}
 	if r.tail-r.head == uint64(len(r.buf)) {
 		r.grow()
 	}
-	if s, ok := r.idx[e]; ok {
-		r.at(s).Dead = true
-	}
 	*r.at(r.tail) = Entry{Edge: e, At: at}
-	r.idx[e] = r.tail
-	r.tail++
+	r.tail++ // now the new entry's sequence number plus one
+	r.idx[i] = slot{key: k, seq: r.tail}
+	r.live++
+	return true
 }
 
 // grow doubles the buffer, moving each pending entry to its slot under the
@@ -205,12 +290,12 @@ func (r *Ring) grow() {
 // must then ignore the deletion entirely, or it would subtract instances the
 // windowed estimate no longer counts.
 func (r *Ring) Kill(e graph.Edge) bool {
-	s, ok := r.idx[e]
+	i, ok := r.find(edgeKey(e))
 	if !ok {
 		return false
 	}
-	r.at(s).Dead = true
-	delete(r.idx, e)
+	r.at(r.idx[i].seq - 1).Dead = true
+	r.unlink(i)
 	return true
 }
 
@@ -228,7 +313,8 @@ func (r *Ring) ExpireOne(cutoff int64) (graph.Edge, bool) {
 		if ent.Dead {
 			continue
 		}
-		delete(r.idx, ent.Edge)
+		i, _ := r.find(edgeKey(ent.Edge))
+		r.unlink(i)
 		return ent.Edge, true
 	}
 	return graph.Edge{}, false
