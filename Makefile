@@ -49,20 +49,22 @@ cluster-smoke:
 # The durability layer under the race detector: the write-ahead log's unit,
 # property, and alloc guards, plus the fault-injection suite (worker killed
 # mid-stream and restarted empty must rejoin bit-identically via log replay;
-# coordinator crash over a torn frame must recover), then a short fuzz pass
-# over segment recovery.
+# coordinator crash over a torn frame must recover), the routing-group
+# cross-mode suite (failed deliveries lag with a log, go inconsistent
+# without), then a short fuzz pass over segment recovery.
 wal-smoke:
 	$(GO) test -race ./internal/wal/
-	$(GO) test -race -run 'WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds' ./internal/cluster/ ./internal/serve/
+	$(GO) test -race -run 'WAL|CatchUp|Torn|Retention|Lagging|LogMode|RestoreSeeds|RoutingGroup' ./internal/cluster/ ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzWALSegmentDecode -fuzztime 30s ./internal/wal/
 
 # Partitioned ingest and replay idempotence under the race detector: routed
 # partitions vs bit-identical in-process references, per-partition log replay
 # and snapshot restore, the ack-ambiguity fault injections (duplicated
 # delivery, apply-then-lost response), stamped-ingest dedup on the worker,
-# and the ownership/Beta unit suite plus the sum combiner.
+# the routing-group cross-mode suite (broadcast and partitioned fleets on
+# one ingest path), and the ownership/Beta unit suite plus the sum combiner.
 partition-smoke:
-	$(GO) test -race -run 'Partition|SumCombine|AckAmbiguity|Idempotent|Retention|FlagConflict' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
+	$(GO) test -race -run 'Partition|SumCombine|AckAmbiguity|Idempotent|Retention|FlagConflict|RoutingGroup' ./internal/cluster/ ./internal/serve/ ./cmd/wsdserve/
 	$(GO) test -race ./internal/partition/ ./internal/combine/
 
 # The enumeration layer under the race detector: the differential

@@ -156,31 +156,26 @@ func main() {
 		if *mom > 0 {
 			ccfg.Combiner = combine.MedianOfMeans(*mom)
 		}
-		var walLogs []*wal.Log // every opened log, either mode, for closing
 		if *walDir != "" {
+			// One log per routing group: the broadcast fleet's one log at
+			// -wal-dir itself, a partitioned fleet's per-partition logs in
+			// subdirectories p0..p<N-1>, index-aligned with -workers.
+			groups := 1
 			if *part {
-				// One log per partition, in subdirectories p0..p<N-1> of
-				// -wal-dir, index-aligned with -workers.
-				ccfg.Logs = make([]*wal.Log, len(urls))
-				for i := range urls {
-					lg, err := wal.Open(filepath.Join(*walDir, fmt.Sprintf("p%d", i)), wal.Options{SegmentBytes: *walSegmentBytes})
-					if err != nil {
-						fatal(err)
-					}
-					ccfg.Logs[i] = lg
-					walLogs = append(walLogs, lg)
-					log.Printf("wsdserve: partition %d write-ahead log %s at position %d (%d events, %d segments)",
-						i, lg.Dir(), lg.End(), lg.Events(), lg.Segments())
+				groups = len(urls)
+			}
+			for i := range groups {
+				dir := *walDir
+				if *part {
+					dir = filepath.Join(*walDir, fmt.Sprintf("p%d", i))
 				}
-			} else {
-				walLog, err := wal.Open(*walDir, wal.Options{SegmentBytes: *walSegmentBytes})
+				lg, err := wal.Open(dir, wal.Options{SegmentBytes: *walSegmentBytes})
 				if err != nil {
 					fatal(err)
 				}
-				ccfg.Log = walLog
-				walLogs = append(walLogs, walLog)
+				ccfg.Logs = append(ccfg.Logs, lg)
 				log.Printf("wsdserve: write-ahead log %s at position %d (%d events, %d segments)",
-					*walDir, walLog.End(), walLog.Events(), walLog.Segments())
+					lg.Dir(), lg.End(), lg.Events(), lg.Segments())
 			}
 		}
 		coord, err := serve.NewCoordinator(serve.CoordinatorConfig{Cluster: ccfg})
@@ -191,13 +186,13 @@ func main() {
 		snapshot = coord.Cluster().Snapshot
 		restore = coord.Cluster().Restore
 		closing = func() {
-			for _, lg := range walLogs {
+			for _, lg := range ccfg.Logs {
 				if err := lg.Close(); err != nil {
 					log.Printf("wsdserve: close write-ahead log %s: %v", lg.Dir(), err)
 				}
 			}
 		}
-		if len(walLogs) > 0 {
+		if len(ccfg.Logs) > 0 {
 			// Re-align the fleet against the reopened log(s) before serving
 			// (after any checkpoint restore): a coordinator restart loses its
 			// in-memory ack table, and a lagging worker heals right here

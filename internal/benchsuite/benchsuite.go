@@ -389,11 +389,8 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				var pool stream.BatchPool
 				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
+					if err := coord.SubmitBatch(s[lo:min(lo+batchSize, len(s))]); err != nil {
 						return 0, err
 					}
 				}
@@ -452,11 +449,8 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				var pool stream.BatchPool
 				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
+					if err := coord.SubmitBatch(s[lo:min(lo+batchSize, len(s))]); err != nil {
 						return 0, err
 					}
 				}
@@ -513,11 +507,8 @@ func ingests() []ingestSpec {
 				if err != nil {
 					return 0, err
 				}
-				var pool stream.BatchPool
 				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
+					if err := coord.SubmitBatch(s[lo:min(lo+batchSize, len(s))]); err != nil {
 						return 0, err
 					}
 				}
@@ -575,15 +566,12 @@ func ingests() []ingestSpec {
 					return 0, err
 				}
 				closers = append(closers, func() { log.Close() }, func() { os.RemoveAll(dir) })
-				coord, err := cluster.New(cluster.Config{Workers: urls, Log: log})
+				coord, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{log}})
 				if err != nil {
 					return 0, err
 				}
-				var pool stream.BatchPool
 				for lo := 0; lo < len(s); lo += batchSize {
-					b := pool.Get()
-					b.Events = append(b.Events, s[lo:min(lo+batchSize, len(s))]...)
-					if err := coord.SubmitPooled(b); err != nil {
+					if err := coord.SubmitBatch(s[lo:min(lo+batchSize, len(s))]); err != nil {
 						return 0, err
 					}
 				}

@@ -16,11 +16,12 @@
 // different estimator.
 //
 // Consistency model. A worker is *consistent* while it has applied every
-// broadcast since the cluster's start (or its last successful cluster
-// restore). A worker that misses a broadcast — network error, crash, 5xx —
-// is marked inconsistent and excluded from ingest and reads: its counter no
-// longer summarizes the full stream, and an estimator over a prefix of the
-// stream is not an unbiased estimator of the present graph. Inconsistent
+// delivery since the cluster's start (or its last successful cluster
+// restore). A worker that misses a delivery — network error, crash, 5xx, a
+// reply short of its share — is marked inconsistent and excluded from ingest
+// and reads: its counter no longer summarizes its stream, and an estimator
+// over a prefix of the stream is not an unbiased estimator of the present
+// graph. Inconsistent
 // workers rejoin only through Restore, which resets every worker to one
 // cluster-wide snapshot. Reads additionally tolerate transient
 // unreachability: a consistent worker that fails one gather is skipped for
@@ -28,40 +29,47 @@
 // how many workers answered and whether the configured quorum was met, so a
 // degraded cluster serves, visibly, from the survivors.
 //
-// Durability (Config.Log). With a write-ahead log attached, the model above
-// gains a second, cheaper healing path. Every broadcast is appended to the
-// log — canonicalized into the binary wire format, durable before any worker
-// sees it — and the coordinator tracks each worker's acknowledged log
-// position. A worker that misses a broadcast is marked *lagging*, not
-// inconsistent: its state is a correct prefix of the stream, so the
-// coordinator heals it by replaying the log tail from its last ack — at the
-// next broadcast (with backoff), on CatchUp, or after a Restore — and the
-// sampling estimators' determinism (the TRIEST-FD lineage is defined over the
-// ordered stream) makes the healed worker bit-identical to one that never
-// failed. Retention truncates the log below the fleet's minimum ack, so a
+// Routing groups. One ingest path serves both fleet shapes. A routing group
+// is a set of workers that receive the same substream, with at most one
+// write-ahead log recording it. A broadcast fleet is one group holding every
+// worker — its members all own every vertex; a partitioned fleet is N
+// one-worker groups. Every batch is decoded (a body that does not parse is
+// rejected before any worker sees it), split into one share per group, and
+// each share is encoded once into the binary wire format and delivered to
+// every eligible member of its group, in one global order.
+//
+// Durability (Config.Logs). With write-ahead logs attached, one per group,
+// the model above gains a second, cheaper healing path. Every share is
+// appended to its group's log — durable before any member sees it — every
+// delivery is stamped with the share's log position (so duplicates and
+// replays are idempotent), and the coordinator tracks each worker's
+// acknowledged position in its group's log. A worker that misses a delivery
+// is marked *lagging*, not inconsistent: its state is a correct prefix of its
+// substream, so the coordinator heals it by replaying its log's tail from its
+// last ack — at the next ingest (with backoff), on CatchUp, or after a
+// Restore — and the sampling estimators' determinism (the TRIEST-FD lineage
+// is defined over the ordered stream, and a partition's substream is an
+// ordered stream too) makes the healed worker bit-identical to one that never
+// failed. Retention truncates each log below its group's minimum ack, so a
 // lagging worker's tail is retained until it catches up. Only a worker whose
 // reported position aligns with no logged frame boundary — restarted empty
 // after retention passed its data, or fed out of band — is inconsistent in
 // the old sense and needs a snapshot Restore, after which the blob's recorded
-// log position lets replay finish the job ("restore from blob + log replay").
+// log positions let replay finish the job ("restore from blob + log replay").
 //
 // Partitioned mode (Config.Partitioned). Broadcast buys variance reduction
 // but zero ingest scaling — every worker applies every event. Partitioned
-// mode routes instead: each edge goes to the owner(s) of its endpoints
-// (internal/partition — a fixed vertex hash), so worker k samples only its
-// share of the stream and the fleet's ingest scales with N. Estimates
-// compose by summation (combine.Sum): each worker weighs every contribution
-// by the fraction of the completing edge's endpoints it owns, and the
-// coordinator divides the summed per-pattern estimates by the pattern's
-// expected visibility partition.Beta, keeping the total unbiased (see
-// internal/partition for the argument). Reads need the *whole* fleet — a
-// missing partition is a missing share of the count, not a lost vote — so
-// the quorum is pinned to the fleet size and there are no degraded reads.
-// The consistency model generalizes per partition: with Config.Logs, worker
-// k's substream is appended to log k before delivery, every delivery is
-// stamped with its substream position (so replays are idempotent), and
-// catch-up, retention, and restore-from-blob+tail-replay all run per
-// partition exactly as the broadcast log runs fleet-wide.
+// mode routes instead: worker k's group owns partition k of the vertices
+// (internal/partition — a fixed vertex hash), each edge goes to the owner(s)
+// of its endpoints, so worker k samples only its share of the stream and the
+// fleet's ingest scales with N. Estimates compose by summation
+// (combine.Sum): each worker weighs every contribution by the fraction of the
+// completing edge's endpoints it owns, and the coordinator divides the
+// summed per-pattern estimates by the pattern's expected visibility
+// partition.Beta, keeping the total unbiased (see internal/partition for the
+// argument). Reads need the *whole* fleet — a missing partition is a missing
+// share of the count, not a lost vote — so the quorum is pinned to the fleet
+// size and there are no degraded reads.
 package cluster
 
 import (
@@ -99,8 +107,8 @@ type Config struct {
 	Combiner combine.Func
 	// Quorum is the minimum number of workers that must answer for a read to
 	// be served; values < 1 default to a majority (workers/2 + 1). Ingest
-	// applies the same bar: a broadcast that lands on fewer than Quorum
-	// workers is reported as an error (the events that did land stay
+	// applies the same bar: a batch that lands on fewer than Quorum workers
+	// is reported as an error (the events that did land stay
 	// applied — single-pass streams cannot be unapplied).
 	Quorum int
 	// Timeout bounds each worker request (default 10s).
@@ -109,13 +117,6 @@ type Config struct {
 	// client with Timeout applied is built; when set, Timeout is ignored and
 	// the supplied client's own limits govern.
 	Client *http.Client
-	// Log, when non-nil, is the write-ahead log every broadcast is appended
-	// to before fan-out, enabling per-worker catch-up by replay (see the
-	// durability notes in the package comment). The coordinator takes
-	// ownership: position tracking, retention truncation, and snapshot
-	// positioning all run through it. Broadcast mode only; partitioned
-	// coordinators log per partition through Logs.
-	Log *wal.Log
 	// Partitioned switches the coordinator from broadcast to partitioned
 	// ingest: edges are routed to the owners of their endpoints, worker i
 	// serving partition i of the fleet, and estimates compose by visibility-
@@ -124,18 +125,23 @@ type Config struct {
 	// every partition holds an irreplaceable share of the count. Workers
 	// must be configured with the matching serve.Config partition slots.
 	Partitioned bool
-	// Logs, in partitioned mode, are the per-partition write-ahead logs,
-	// index-aligned with Workers (log i records worker i's substream). Nil
-	// means no durability — a failed delivery marks its worker inconsistent,
-	// as in no-log broadcast mode. When set, every entry must be non-nil and
-	// the length must equal the worker count.
+	// Logs are the write-ahead logs, one per routing group: one log for a
+	// broadcast fleet, recording the whole stream, or one per worker for a
+	// partitioned fleet, index-aligned with Workers (log i records worker
+	// i's substream). Each share is appended to its group's log before
+	// delivery, enabling per-worker catch-up by replay (see the durability
+	// notes in the package comment). Nil means no durability: a failed
+	// delivery marks its worker inconsistent. When set, every entry must be
+	// non-nil. The coordinator takes ownership: position tracking, retention
+	// truncation, and snapshot positioning all run through them.
 	Logs []*wal.Log
 }
 
-// ErrBadStream wraps a body every worker rejected as unparsable: a client
-// error, not a cluster failure. No worker applied any of it (workers
-// validate a whole body before applying), so the cluster stays consistent.
-var ErrBadStream = errors.New("cluster: stream body rejected by workers")
+// ErrBadStream wraps an ingest body that does not parse: a client error, not
+// a cluster failure. The coordinator decodes every body whole before any
+// worker sees it, so no worker applied any of it and the cluster stays
+// consistent.
+var ErrBadStream = errors.New("cluster: unparsable stream body")
 
 // ErrNoQuorum is returned when fewer consistent workers than the configured
 // quorum are available to serve a request.
@@ -155,26 +161,51 @@ var ErrPartialSwap = errors.New("cluster: policy swap incomplete")
 // ErrCatchUpIncomplete wraps a CatchUp (or post-restore replay) that left
 // some worker behind the log end: unreachable, mid-replay failure, or
 // inconsistent. Lagging workers are retried automatically at the next
-// broadcast; an inconsistent worker needs a snapshot Restore.
+// ingest; an inconsistent worker needs a snapshot Restore.
 var ErrCatchUpIncomplete = errors.New("cluster: catch-up incomplete")
 
 // catchUpBackoff spaces automatic catch-up attempts per worker, so a worker
-// that is down does not cost every broadcast a probe round trip.
+// that is down does not cost every ingest a probe round trip.
 const catchUpBackoff = 2 * time.Second
+
+// MaxBodyBytes is the largest state blob the serving layer moves: the
+// default request body cap of a worker's and a coordinator's endpoints, and
+// the cap on a worker /snapshot reply the coordinator reads — a bigger blob
+// could not be restored through a coordinator's /restore anyway.
+const MaxBodyBytes = 64 << 20
+
+// maxReplyBytes caps every other worker reply (ingest acks, estimates,
+// health and policy probes), which are small JSON documents.
+const maxReplyBytes = 1 << 20
+
+// group is a routing group: the workers that receive the same substream,
+// with at most one write-ahead log recording it.
+type group struct {
+	members []*workerRef
+	log     *wal.Log
+	// share is the current batch's substream for this group, body its binary
+	// encoding, stamp the delivery's stream-position stamp (-1 without a
+	// log), and end the log position a successful delivery acknowledges. All
+	// are reused across batches under bcastMu.
+	share []stream.Event
+	body  bytes.Buffer
+	stamp int64
+	end   WALMark
+}
 
 // workerRef is one worker endpoint plus its consistency and catch-up state.
 type workerRef struct {
 	url string
-	// idx is the worker's fleet slot — in partitioned mode, the partition it
-	// owns and the index of its write-ahead log.
-	idx int
-	// inconsistent is set when the worker misses a broadcast (no-log mode) or
-	// when its reported position aligns with no logged frame (log mode); a
-	// successful cluster Restore — or, in log mode, a probe that re-aligns —
+	// g is the worker's routing group.
+	g *group
+	// inconsistent is set when the worker misses a delivery and its group has
+	// no log, or when its reported position aligns with no logged frame; a
+	// successful cluster Restore — or, with a log, a probe that re-aligns —
 	// clears it.
 	inconsistent atomic.Bool
-	// lagging (log mode only) is set when the worker misses a broadcast whose
-	// frames are on the log: its state is a stream prefix and replay heals it.
+	// lagging (logged groups only) is set when the worker misses a delivery
+	// whose frames are on its group's log: its state is a stream prefix and
+	// replay heals it.
 	lagging atomic.Bool
 	// acked/ackedEvents are the newest log position (frame index / cumulative
 	// events) the worker has provably applied. The fleet minimum of acked
@@ -182,57 +213,40 @@ type workerRef struct {
 	acked       atomic.Uint64
 	ackedEvents atomic.Int64
 	// lastCatchUp is the unix-nano time of the last catch-up attempt,
-	// implementing the broadcast-path backoff.
+	// implementing the ingest-path backoff.
 	lastCatchUp atomic.Int64
 }
 
-// Coordinator fans ingested batches out to every worker and gathers their
-// estimates into one combined read. Construct with New; the zero value is
-// not usable. Safe for concurrent use.
+// Coordinator fans ingested batches out to its routing groups and gathers
+// the workers' estimates into one combined read. Construct with New; the
+// zero value is not usable. Safe for concurrent use.
 type Coordinator struct {
-	workers []*workerRef
-	comb    combine.Func
-	quorum  int
-	client  *http.Client
+	workers     []*workerRef
+	groups      []*group
+	partitioned bool
+	comb        combine.Func
+	quorum      int
+	client      *http.Client
 
 	// mu guards the ingest/read side against Restore the same way
 	// serve.Server does: requests hold the read lock, Restore the write
-	// lock, so a restore never interleaves with a broadcast.
+	// lock, so a restore never interleaves with an ingest.
 	mu sync.RWMutex
 
-	// bcastMu serializes broadcasts, the cross-process analogue of the shard
+	// bcastMu serializes ingests, the cross-process analogue of the shard
 	// ensemble holding its lock across the per-shard sends: without it, two
 	// concurrent ingests could land on different workers in different
 	// orders, and an insert/delete pair applied in opposite orders leaves
 	// workers summarizing different graphs while still marked consistent.
-	// Snapshot also takes it, so a cluster blob can never interleave with a
-	// broadcast and capture workers at different stream positions.
-	bcastMu sync.Mutex
-
-	// encMu serializes access to the reused binary-encode buffer on the
-	// programmatic submit path.
-	encMu  sync.Mutex
-	encBuf bytes.Buffer
-
-	// log is the optional write-ahead log (Config.Log); replayBuf is the
-	// reused catch-up body buffer, guarded by bcastMu (every replay runs
-	// under it).
-	log       *wal.Log
+	// Snapshot also takes it, so a cluster blob can never interleave with an
+	// ingest and capture workers at different stream positions. It guards
+	// the groups' reused buffers and replayBuf, the reused catch-up body.
+	bcastMu   sync.Mutex
 	replayBuf []byte
 
-	// decMu serializes the reused ingest-body decode buffer (log mode:
-	// IngestBytes canonicalizes the body before logging it).
+	// decMu serializes the reused ingest-body decode buffer.
 	decMu  sync.Mutex
 	decBuf []stream.Event
-
-	// Partitioned mode: logs are the per-partition write-ahead logs (nil
-	// without durability), routeBufs the reused per-worker routing buffers
-	// and partBufs the reused per-worker encode buffers (both guarded by
-	// encMu, like encBuf).
-	partitioned bool
-	logs        []*wal.Log
-	routeBufs   [][]stream.Event
-	partBufs    []bytes.Buffer
 }
 
 // New validates the worker list and returns a coordinator. The workers are
@@ -253,7 +267,7 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: worker %s listed twice", u)
 		}
 		seen[u] = true
-		refs = append(refs, &workerRef{url: u, idx: len(refs)})
+		refs = append(refs, &workerRef{url: u})
 	}
 	comb := cfg.Combiner
 	if comb == nil {
@@ -279,21 +293,30 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("cluster: partitioned reads need the whole fleet (every partition holds an irreplaceable share); quorum %d cannot apply — leave Quorum unset", cfg.Quorum)
 		}
 		quorum = len(refs)
-		if cfg.Log != nil {
-			return nil, fmt.Errorf("cluster: partitioned mode logs per partition; set Logs (one per worker), not Log")
-		}
+	}
+	// A broadcast fleet is one routing group; a partitioned fleet is one
+	// group per worker.
+	groups := make([]*group, 1)
+	if cfg.Partitioned {
+		groups = make([]*group, len(refs))
+	}
+	if cfg.Logs != nil && len(cfg.Logs) != len(groups) {
+		return nil, fmt.Errorf("cluster: %d write-ahead logs for %d routing groups; Logs holds one log per group (broadcast takes one log, partitioned one per worker, index-aligned with Workers)", len(cfg.Logs), len(groups))
+	}
+	for i := range groups {
+		groups[i] = &group{}
 		if cfg.Logs != nil {
-			if len(cfg.Logs) != len(refs) {
-				return nil, fmt.Errorf("cluster: %d write-ahead logs for %d workers; Logs must be index-aligned with Workers", len(cfg.Logs), len(refs))
+			if cfg.Logs[i] == nil {
+				return nil, fmt.Errorf("cluster: Logs[%d] is nil; every routing group needs its own log (or none)", i)
 			}
-			for i, lg := range cfg.Logs {
-				if lg == nil {
-					return nil, fmt.Errorf("cluster: Logs[%d] is nil; every partition needs its own log (or none)", i)
-				}
-			}
+			groups[i].log = cfg.Logs[i]
 		}
-	} else if cfg.Logs != nil {
-		return nil, fmt.Errorf("cluster: Logs is for partitioned mode; broadcast coordinators take one Log")
+	}
+	for i, w := range refs {
+		// Worker i joins group i of a partitioned fleet, the one group of a
+		// broadcast fleet.
+		w.g = groups[i%len(groups)]
+		w.g.members = append(w.g.members, w)
 	}
 	client := cfg.Client
 	if client == nil {
@@ -303,40 +326,13 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		client = &http.Client{Timeout: timeout}
 	}
-	c := &Coordinator{workers: refs, comb: comb, quorum: quorum, client: client, log: cfg.Log,
-		partitioned: cfg.Partitioned, logs: cfg.Logs}
-	if cfg.Partitioned {
-		c.routeBufs = make([][]stream.Event, len(refs))
-		c.partBufs = make([]bytes.Buffer, len(refs))
-	}
-	return c, nil
+	return &Coordinator{workers: refs, groups: groups, partitioned: cfg.Partitioned,
+		comb: comb, quorum: quorum, client: client}, nil
 }
 
 // Partitioned reports whether the coordinator routes by partition instead of
 // broadcasting.
 func (c *Coordinator) Partitioned() bool { return c.partitioned }
-
-// hasWAL reports whether the coordinator has write-ahead durability: one
-// fleet-wide log in broadcast mode, one log per partition in partitioned
-// mode.
-func (c *Coordinator) hasWAL() bool {
-	if c.partitioned {
-		return c.logs != nil
-	}
-	return c.log != nil
-}
-
-// walFor resolves the write-ahead log that records worker w's stream: the
-// shared log in broadcast mode, the worker's own partition log otherwise.
-func (c *Coordinator) walFor(w *workerRef) *wal.Log {
-	if c.partitioned {
-		if c.logs == nil {
-			return nil
-		}
-		return c.logs[w.idx]
-	}
-	return c.log
-}
 
 // NormalizeWorkerURL canonicalizes a worker address: trims whitespace and
 // trailing slashes (a leftover slash would turn every request path into
@@ -360,8 +356,8 @@ func (c *Coordinator) Workers() int { return len(c.workers) }
 // Quorum returns the minimum worker count required to serve.
 func (c *Coordinator) Quorum() int { return c.quorum }
 
-// eligible returns the workers currently eligible for broadcast and gather:
-// consistent and (in log mode) not lagging — a lagging worker's estimate
+// eligible returns the workers currently eligible for ingest and gather:
+// consistent and not lagging — a lagging worker's estimate
 // summarizes a stream prefix and must not enter a combined read until replay
 // catches it up.
 func (c *Coordinator) eligible() []*workerRef {
@@ -404,27 +400,12 @@ func (e *statusError) Error() string {
 
 func (e *statusError) client() bool { return e.code >= 400 && e.code < 500 }
 
-// post sends body to worker path and decodes a JSON reply into out (when
-// non-nil).
-func (c *Coordinator) post(w *workerRef, path string, body []byte, out any) error {
-	return c.postStamped(w, path, body, -1, out)
-}
-
-// postStamped is post with an optional stream-position stamp (pos >= 0): the
-// header declares the absolute position of the body's first event, making
-// the delivery idempotent on the worker — a duplicate (a replay racing the
+// send issues one request to worker path — with an optional stream-position
+// stamp (pos >= 0) — and decodes its JSON reply into out (when non-nil). The
+// stamp declares the absolute position of the body's first event, making the
+// delivery idempotent on the worker: a duplicate (a replay racing the
 // original request, or a retry of a request that applied but whose response
 // was lost) is skipped and reported back instead of double-applied.
-func (c *Coordinator) postStamped(w *workerRef, path string, body []byte, pos int64, out any) error {
-	return c.send(http.MethodPost, w, path, body, pos, out)
-}
-
-// put sends body to worker path with the PUT method (replacement semantics:
-// the policy swap) and decodes a JSON reply into out (when non-nil).
-func (c *Coordinator) put(w *workerRef, path string, body []byte, out any) error {
-	return c.send(http.MethodPut, w, path, body, -1, out)
-}
-
 func (c *Coordinator) send(method string, w *workerRef, path string, body []byte, pos int64, out any) error {
 	req, err := http.NewRequest(method, w.url+path, bytes.NewReader(body))
 	if err != nil {
@@ -434,17 +415,9 @@ func (c *Coordinator) send(method string, w *workerRef, path string, body []byte
 	if pos >= 0 {
 		req.Header.Set(stream.PosHeader, strconv.FormatInt(pos, 10))
 	}
-	resp, err := c.client.Do(req)
+	raw, err := c.do(w, req, maxReplyBytes)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &statusError{code: resp.StatusCode, body: string(raw)}
 	}
 	if out != nil {
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -454,16 +427,30 @@ func (c *Coordinator) send(method string, w *workerRef, path string, body []byte
 	return nil
 }
 
-// get fetches worker path and returns the raw body.
-func (c *Coordinator) get(w *workerRef, path string) ([]byte, error) {
-	resp, err := c.client.Get(w.url + path)
+// get fetches worker path and returns the raw body, at most limit bytes.
+func (c *Coordinator) get(w *workerRef, path string, limit int64) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodGet, w.url+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return c.do(w, req, limit)
+}
+
+// do runs one worker request and reads its reply body. A reply longer than
+// limit bytes is an error naming the worker and the cap — never a silently
+// truncated body, and never an unbounded read of a misbehaving worker.
+func (c *Coordinator) do(w *workerRef, req *http.Request, limit int64) ([]byte, error) {
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
+	}
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("worker %s: %s reply exceeds the %d-byte cap", w.url, req.URL.Path, limit)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, &statusError{code: resp.StatusCode, body: string(raw)}
@@ -471,50 +458,36 @@ func (c *Coordinator) get(w *workerRef, path string) ([]byte, error) {
 	return raw, nil
 }
 
-// IngestResult reports how a broadcast (or partitioned submit) landed.
+// IngestResult reports how an ingest landed.
 type IngestResult struct {
-	// Accepted is the event count each applying worker reported (broadcast
-	// mode — every worker receives the whole batch) or the batch's event
-	// count (partitioned mode — the batch is split across workers).
+	// Accepted is the batch's event count once any worker applied its share:
+	// a delivery counts only when the worker's reply covers its whole share
+	// (applied or already held), so there is no partial count to report.
 	Accepted int `json:"accepted"`
-	// Applied is how many workers applied the batch (partitioned mode: their
-	// share of it, possibly empty).
+	// Applied is how many workers applied their share of the batch (in a
+	// partitioned fleet, possibly an empty one).
 	Applied int `json:"applied"`
 	// Workers is the configured fleet size.
 	Workers int `json:"workers"`
 }
 
-// IngestBytes broadcasts one request body — text or binary stream format, as
-// accepted by the workers' /ingest — to every consistent worker. The same
-// bytes go to every worker (no re-encode, no per-worker copy). Workers that
-// fail to apply are marked inconsistent and excluded until the next Restore.
-//
-// If every worker rejects the body as unparsable (4xx), no worker applied
-// any of it and the error wraps ErrBadStream: the cluster is intact and the
-// client should fix its stream. If fewer than the quorum applied, the error
-// wraps ErrNoQuorum.
+// IngestBytes ingests one request body — text or binary stream format, as
+// accepted by the workers' /ingest — exactly like SubmitBatch. The body is
+// decoded whole before any worker is contacted: a parse error anywhere wraps
+// ErrBadStream and no worker sees any of it (the workers' own all-or-nothing
+// validation, without N wasted round trips). Deliveries are re-encoded in
+// the binary wire format, so a logged frame and a delivered frame are the
+// same bytes by construction.
 func (c *Coordinator) IngestBytes(raw []byte) (IngestResult, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if !c.partitioned && c.log == nil {
-		return c.broadcast(raw)
-	}
-	// Log and partitioned modes canonicalize before anything touches a
-	// worker: the body is decoded whole (a parse error anywhere rejects it,
-	// exactly the workers' own all-or-nothing validation, without N wasted
-	// round trips) and re-framed, so the frames appended to a log and the
-	// frames delivered are identical by construction — and a partitioned
-	// coordinator needs the events regardless, to route them.
 	c.decMu.Lock()
 	defer c.decMu.Unlock()
 	evs, err := c.decodeBody(raw)
 	if err != nil {
 		return IngestResult{Workers: len(c.workers)}, fmt.Errorf("%w: %v", ErrBadStream, err)
 	}
-	if c.partitioned {
-		return c.submitPartitioned(evs)
-	}
-	return c.submitLogged(evs)
+	return c.submit(evs)
 }
 
 // decodeBody parses an ingest body (text or binary, sniffed like the
@@ -541,259 +514,220 @@ func (c *Coordinator) decodeBody(raw []byte) ([]stream.Event, error) {
 	}
 }
 
-// broadcast is IngestBytes under a held read lock, shared with the
-// programmatic submit path. It owns bcastMu for the whole fan-out, so every
-// worker applies batches in one global order and snapshots never tear.
-func (c *Coordinator) broadcast(raw []byte) (IngestResult, error) {
-	c.bcastMu.Lock()
-	defer c.bcastMu.Unlock()
-	res := IngestResult{Workers: len(c.workers)}
-	live := c.eligible()
-	if len(live) < c.quorum {
-		return res, fmt.Errorf("%w: %d consistent of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
-	}
-	accepted := make([]int, len(live))
-	errs := fanout(live, func(i int, w *workerRef) error {
-		var reply struct {
-			Accepted int `json:"accepted"`
-		}
-		if err := c.post(w, "/ingest", raw, &reply); err != nil {
-			return err
-		}
-		accepted[i] = reply.Accepted
-		return nil
-	})
-	var (
-		firstErr error
-		clientRejects,
-		applied int
-	)
-	for i, err := range errs {
-		if err == nil {
-			applied++
-			continue
-		}
-		var se *statusError
-		if errors.As(err, &se) && se.client() {
-			clientRejects++
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("worker %s: %w", live[i].url, err)
-		}
-	}
-	if applied == 0 && clientRejects > 0 {
-		// Nothing was applied anywhere and at least one worker validated
-		// the body whole and rejected it: the body is bad, not the fleet.
-		// Workers that did not respond cannot have applied it either — the
-		// same bytes fail the same validation (the fleet is uniform) — so
-		// nobody is marked inconsistent and the client gets its error back.
-		return res, fmt.Errorf("%w: %v", ErrBadStream, firstErr)
-	}
-	for i, err := range errs {
-		if err != nil {
-			// Some worker applied this batch (or the outcome is unknowable:
-			// every request failed in transit and a lost response may have
-			// followed an apply), so an errored worker's state no longer
-			// provably covers the stream.
-			live[i].inconsistent.Store(true)
-		} else if accepted[i] > res.Accepted {
-			res.Accepted = accepted[i]
-		}
-	}
-	res.Applied = applied
-	if applied < c.quorum {
-		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, applied, len(c.workers), c.quorum, firstErr)
-	}
-	return res, nil
-}
-
-// SubmitBatch encodes one event batch in the binary wire format and
-// broadcasts it, the programmatic equivalent of POSTing to every worker. The
-// encode buffer is reused across calls, so steady-state submission allocates
-// only what the HTTP client needs. In log mode the batch is appended to the
-// write-ahead log before the fan-out.
+// SubmitBatch ingests one event batch: it is split into one share per
+// routing group, each share is appended to its group's log (when it has
+// one) and then delivered to every eligible member of the group. The encode
+// buffers are reused across calls, so steady-state submission allocates
+// only what the HTTP client needs.
+//
+// A worker that fails its delivery — or replies covering less than its
+// share — is marked lagging when its group has a log (replay heals it) and
+// inconsistent when not (only a Restore does). If fewer than the quorum
+// applied, the error wraps ErrNoQuorum; the events that did land stay
+// applied (single-pass streams cannot be unapplied).
 func (c *Coordinator) SubmitBatch(evs []stream.Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.partitioned {
-		_, err := c.submitPartitioned(evs)
-		return err
-	}
-	if c.log != nil {
-		_, err := c.submitLogged(evs)
-		return err
-	}
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	body, err := c.encodeBody(evs)
-	if err != nil {
-		return err
-	}
-	_, err = c.broadcast(body)
+	_, err := c.submit(evs)
 	return err
 }
 
-// encodeBody canonicalizes a batch into one binary wire body in the reused
-// encode buffer; caller holds encMu. WriteBatch splits at
-// stream.MaxFrameEvents, the same boundaries the log-mode append uses, so a
-// logged frame and a broadcast frame are always the same bytes.
-func (c *Coordinator) encodeBody(evs []stream.Event) ([]byte, error) {
-	return encodeInto(&c.encBuf, evs)
-}
-
-// encodeInto canonicalizes a batch into one binary wire body in the given
-// reused buffer (the partitioned path encodes one body per worker).
-func encodeInto(buf *bytes.Buffer, evs []stream.Event) ([]byte, error) {
-	buf.Reset()
-	bw, err := stream.NewBinaryWriter(buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := bw.WriteBatch(evs); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// submitLogged is the log-mode ingest path: canonical encode, append to the
-// log, then fan out — in that order, so a frame no worker has applied yet is
-// already durable and a worker that misses it is healable by replay. Caller
-// holds the read lock.
-func (c *Coordinator) submitLogged(evs []stream.Event) (IngestResult, error) {
-	c.encMu.Lock()
-	defer c.encMu.Unlock()
-	res := IngestResult{Workers: len(c.workers)}
-	body, err := c.encodeBody(evs)
-	if err != nil {
-		return res, err
-	}
+// submit is the one ingest path, for both fleet shapes; caller holds the
+// read lock. It owns bcastMu for the whole fan-out, so every worker applies
+// its deliveries in one global order and snapshots never tear.
+func (c *Coordinator) submit(evs []stream.Event) (IngestResult, error) {
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
+	res := IngestResult{Workers: len(c.workers)}
 	// Heal first: a lagging worker past its backoff rejoins before this
-	// batch, so one missed broadcast costs one gap, not permanent exclusion.
-	c.healLagging(false)
+	// batch, so one missed delivery costs one gap, not permanent exclusion.
+	c.healLagging()
 	live := c.eligible()
 	if len(live) < c.quorum {
 		return res, fmt.Errorf("%w: %d serving of %d (need %d)", ErrNoQuorum, len(live), len(c.workers), c.quorum)
 	}
-	// The stamp is the stream position before this batch: every delivery of
-	// these frames — this broadcast, a catch-up replay, or a duplicate of
-	// either — declares the same position, so a worker applies the events
-	// exactly once no matter how many copies reach it or in what order.
-	startEvents := c.log.Events()
-	for lo := 0; lo < len(evs); lo += stream.MaxFrameEvents {
-		hi := lo + stream.MaxFrameEvents
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		if _, err := c.log.Append(evs[lo:hi]); err != nil {
-			// Nothing was broadcast: the cluster is consistent and the
-			// client can retry once the log is writable again.
-			return res, fmt.Errorf("cluster: write-ahead log append: %w", err)
+	c.route(evs)
+	for _, g := range c.groups {
+		if err := g.encode(); err != nil {
+			return res, err
 		}
 	}
-	endPos, endEvents := c.log.End(), c.log.Events()
-	accepted := make([]int, len(live))
-	errs := fanout(live, func(i int, w *workerRef) error {
+	// Durable before delivered: every share is on its group's log before any
+	// worker sees any of the batch.
+	for i, g := range c.groups {
+		if err := g.append(); err != nil {
+			// Earlier groups' logs already hold their shares but no worker has
+			// seen them: mark those members lagging so replay delivers the
+			// durable tail. Nothing was delivered, so the client can retry
+			// once the log is writable again.
+			for _, h := range c.groups[:i] {
+				if len(h.share) == 0 {
+					continue
+				}
+				for _, w := range h.members {
+					w.lagging.Store(true)
+				}
+			}
+			return res, fmt.Errorf("cluster: write-ahead log %s append: %w", g.log.Dir(), err)
+		}
+	}
+	errs := fanout(live, func(_ int, w *workerRef) error {
+		g := w.g
+		if len(g.share) == 0 {
+			return nil // no share this batch; the worker's position is unchanged
+		}
 		var reply struct {
 			Accepted  int `json:"accepted"`
 			Duplicate int `json:"duplicate"`
 		}
-		if err := c.postStamped(w, "/ingest", body, startEvents, &reply); err != nil {
+		if err := c.send(http.MethodPost, w, "/ingest", g.body.Bytes(), g.stamp, &reply); err != nil {
 			return err
 		}
 		// Duplicates count as covered: the worker already holds those events
 		// (an earlier delivery applied but its response was lost).
-		accepted[i] = reply.Accepted + reply.Duplicate
+		if reply.Accepted+reply.Duplicate != len(g.share) {
+			return fmt.Errorf("applied %d of %d events (%d duplicate)", reply.Accepted, len(g.share), reply.Duplicate)
+		}
 		return nil
 	})
 	var firstErr error
-	applied := 0
 	for i, err := range errs {
+		w := live[i]
 		if err == nil {
-			applied++
-			live[i].acked.Store(endPos)
-			live[i].ackedEvents.Store(endEvents)
-			if accepted[i] > res.Accepted {
-				res.Accepted = accepted[i]
+			res.Applied++
+			if w.g.log != nil {
+				w.acked.Store(w.g.end.Position)
+				w.ackedEvents.Store(w.g.end.Events)
 			}
 			continue
 		}
 		// The body is canonical — this coordinator encoded it — so a
-		// rejection is never a bad stream: the worker is out of step, and
-		// because the frames are on the log, replay (not a cluster restore)
-		// heals it.
-		live[i].lagging.Store(true)
-		live[i].lastCatchUp.Store(time.Now().UnixNano())
+		// rejection is never a bad stream: the worker is out of step.
+		if w.g.log != nil {
+			// The share is on the group's log; replay heals it.
+			w.lagging.Store(true)
+			w.lastCatchUp.Store(time.Now().UnixNano())
+		} else {
+			// Without a log a missed share is unrecoverable (or its outcome
+			// unknowable: a lost response may have followed an apply), so the
+			// worker's sample no longer provably summarizes its stream.
+			w.inconsistent.Store(true)
+		}
 		if firstErr == nil {
-			firstErr = fmt.Errorf("worker %s: %w", live[i].url, err)
+			firstErr = fmt.Errorf("worker %s: %w", w.url, err)
 		}
 	}
-	res.Applied = applied
+	if res.Applied > 0 {
+		res.Accepted = len(evs)
+	}
 	c.truncateToMinAck()
-	if applied < c.quorum {
-		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, applied, len(c.workers), c.quorum, firstErr)
+	if res.Applied < c.quorum {
+		return res, fmt.Errorf("%w: %d of %d workers applied (need %d): %v", ErrNoQuorum, res.Applied, len(c.workers), c.quorum, firstErr)
 	}
 	return res, nil
 }
 
-// truncateToMinAck retires sealed log segments the whole fleet has passed;
-// bcastMu held. Every worker's ack — lagging and inconsistent included —
-// pins retention: a lagging worker's replay tail must be retained until it
-// catches up, and an inconsistent worker's stale ack still brackets where a
-// recent snapshot may sit. Only Restore (which re-seeds every ack from the
-// blob's position) moves an irrecoverably behind worker forward.
+// route splits a batch into one share per routing group; bcastMu held. The
+// one group of a broadcast fleet owns every vertex, so its share is the
+// batch itself. A partitioned fleet's groups receive the events whose
+// endpoints they own, in stream order: a two-owner edge goes to both owners,
+// each weighting its contributions by its owned-endpoint fraction
+// (serve.Config's partition slot), so the fleet counts every completing edge
+// with total weight one.
+func (c *Coordinator) route(evs []stream.Event) {
+	if len(c.groups) == 1 {
+		c.groups[0].share = evs
+		return
+	}
+	for _, g := range c.groups {
+		g.share = g.share[:0]
+	}
+	for _, ev := range evs {
+		a, b := partition.Owners(ev.Edge, len(c.groups))
+		c.groups[a].share = append(c.groups[a].share, ev)
+		if b != a {
+			c.groups[b].share = append(c.groups[b].share, ev)
+		}
+	}
+}
+
+// encode canonicalizes the group's share into its reused body buffer, once
+// for every member. WriteBatch splits at stream.MaxFrameEvents, the same
+// boundaries the log append uses, so a logged frame and a delivered frame
+// are always the same bytes.
+func (g *group) encode() error {
+	g.body.Reset()
+	bw, err := stream.NewBinaryWriter(&g.body)
+	if err != nil {
+		return err
+	}
+	if err := bw.WriteBatch(g.share); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// append records the group's share on its log, when it has one, and sets
+// the delivery's stamp and the ack it earns. The stamp is the log's event
+// count before this share: every delivery of these frames — this one, a
+// catch-up replay, or a duplicate of either — declares the same position, so
+// a worker applies the events exactly once no matter how many copies reach
+// it or in what order.
+func (g *group) append() error {
+	g.stamp = -1
+	if g.log == nil {
+		return nil
+	}
+	g.stamp = g.log.Events()
+	for lo := 0; lo < len(g.share); lo += stream.MaxFrameEvents {
+		if _, err := g.log.Append(g.share[lo:min(lo+stream.MaxFrameEvents, len(g.share))]); err != nil {
+			return err
+		}
+	}
+	g.end = WALMark{Position: g.log.End(), Events: g.log.Events()}
+	return nil
+}
+
+// truncateToMinAck retires sealed log segments every member of the log's
+// group has passed; bcastMu held. Every member's ack — lagging and
+// inconsistent included — pins retention: a lagging worker's replay tail
+// must be retained until it catches up, and an inconsistent worker's stale
+// ack still brackets where a recent snapshot may sit. Only Restore (which
+// re-seeds every ack from the blob's position) moves an irrecoverably behind
+// worker forward.
 //
-// When *no* consistent worker remains, the minimum ack is a minimum over
+// When *no* consistent member remains, the minimum ack is a minimum over
 // stale bookmarks only — positions no live state backs. Acks can sit above
 // the last truncation point without any consistent state behind them (a
 // Restore seeds and replays acks without truncating), so truncating to that
 // minimum could retire exactly the tail the healing snapshot restore needs
-// to replay ("restore from blob + tail"). A fully inconsistent fleet
-// therefore pins retention outright: no truncation until a restore brings a
-// worker back. In partitioned mode each partition's log answers to its one
-// worker — the single-worker instance of the same rule: truncate log i to
-// worker i's ack, or not at all while that worker is inconsistent.
+// to replay ("restore from blob + tail"). A group with no consistent member
+// therefore pins its log's retention outright: no truncation until a
+// restore brings a worker back. For a partition's one-worker group that is:
+// truncate to the worker's ack, or not at all while it is inconsistent.
 // Truncation failures are left for the next attempt.
 func (c *Coordinator) truncateToMinAck() {
-	if c.partitioned {
-		for _, w := range c.workers {
-			if w.inconsistent.Load() {
-				continue
+	for _, g := range c.groups {
+		if g.log == nil {
+			continue
+		}
+		anyConsistent := false
+		min := g.members[0].acked.Load()
+		for _, w := range g.members {
+			if !w.inconsistent.Load() {
+				anyConsistent = true
 			}
-			c.logs[w.idx].TruncateBefore(w.acked.Load())
+			if a := w.acked.Load(); a < min {
+				min = a
+			}
 		}
-		return
-	}
-	anyConsistent := false
-	min := c.workers[0].acked.Load()
-	for _, w := range c.workers {
-		if !w.inconsistent.Load() {
-			anyConsistent = true
-		}
-		if a := w.acked.Load(); a < min {
-			min = a
+		if anyConsistent {
+			g.log.TruncateBefore(min)
 		}
 	}
-	if !anyConsistent {
-		return
-	}
-	c.log.TruncateBefore(min)
-}
-
-// SubmitPooled broadcasts a pooled batch (the PR 3 zero-copy ingest
-// currency) and releases it: the batch's events are encoded once into the
-// coordinator's reused wire buffer and the same bytes go to every worker.
-func (c *Coordinator) SubmitPooled(b *stream.Batch) error {
-	err := c.SubmitBatch(b.Events)
-	b.Release()
-	return err
 }
 
 // errStopChunk is the internal sentinel replayTo uses to cut a replay body
@@ -801,35 +735,26 @@ func (c *Coordinator) SubmitPooled(b *stream.Batch) error {
 var errStopChunk = errors.New("cluster: replay chunk full")
 
 // healLagging attempts catch-up on lagging workers past their backoff;
-// bcastMu held. With force, every worker is probed and re-aligned — the
-// CatchUp/boot/post-restore path, which also repatriates inconsistent
-// workers whose position turns out to align after all (e.g. after the
-// coordinator restarted and lost its ack table).
-func (c *Coordinator) healLagging(force bool) {
+// bcastMu held.
+func (c *Coordinator) healLagging() {
 	now := time.Now().UnixNano()
 	for _, w := range c.workers {
-		if !force {
-			if !w.lagging.Load() || w.inconsistent.Load() {
-				continue
-			}
-			if last := w.lastCatchUp.Load(); now-last < int64(catchUpBackoff) {
-				continue
-			}
+		if w.lagging.Load() && !w.inconsistent.Load() && now-w.lastCatchUp.Load() >= int64(catchUpBackoff) {
+			c.catchUpWorker(w)
 		}
-		c.catchUpWorker(w)
 	}
 }
 
-// catchUpWorker heals one worker by log replay; bcastMu held. It probes the
-// worker's absolute stream position, aligns it to a logged frame boundary,
-// and replays the tail above it. Success clears lagging (and inconsistent);
-// a probe or replay failure leaves the worker lagging for the next attempt;
-// a position that aligns with no retained frame marks it inconsistent — only
-// a snapshot restore can bridge that gap.
+// catchUpWorker heals one worker by replay of its group's log; bcastMu
+// held. It probes the worker's absolute stream position, aligns it to a
+// logged frame boundary, and replays the tail above it. Success clears
+// lagging (and inconsistent); a probe or replay failure leaves the worker
+// lagging for the next attempt; a position that aligns with no retained
+// frame marks it inconsistent — only a snapshot restore can bridge that gap.
 func (c *Coordinator) catchUpWorker(w *workerRef) error {
-	lg := c.walFor(w)
+	lg := w.g.log
 	w.lastCatchUp.Store(time.Now().UnixNano())
-	raw, err := c.get(w, "/healthz")
+	raw, err := c.get(w, "/healthz", maxReplyBytes)
 	if err != nil {
 		w.lagging.Store(true)
 		return fmt.Errorf("worker %s: probe: %w", w.url, err)
@@ -849,8 +774,9 @@ func (c *Coordinator) catchUpWorker(w *workerRef) error {
 		}
 		return fmt.Errorf("worker %s reports position %d, which aligns with no logged frame boundary; restore a cluster snapshot to heal", w.url, probe.Position)
 	}
-	// Alignment certifies the worker's state as a log prefix (the fleet only
-	// ever receives canonical logged frames), so it is healable from here.
+	// Alignment certifies the worker's state as a log prefix (a logged group
+	// only ever receives canonical logged frames), so it is healable from
+	// here.
 	w.inconsistent.Store(false)
 	w.acked.Store(pos)
 	w.ackedEvents.Store(probe.Position)
@@ -862,18 +788,18 @@ func (c *Coordinator) catchUpWorker(w *workerRef) error {
 	return nil
 }
 
-// replayTo streams the log tail above the worker's ack as chunked binary
-// /ingest bodies — stored frame payloads copied verbatim behind a stream
-// header, so the worker applies exactly the frames (and frame boundaries) the
-// live fleet did. Every chunk is stamped with the worker's acknowledged event
-// count (the absolute position of the chunk's first event), so a replay that
-// races a duplicate of an earlier delivery is skipped, not double-applied;
-// events the worker already held come back in the reply's duplicate count and
-// still count as covered. The worker's ack advances per applied chunk;
-// bcastMu held.
+// replayTo streams the tail of the worker's group log above its ack as
+// chunked binary /ingest bodies — stored frame payloads copied verbatim
+// behind a stream header, so the worker applies exactly the frames (and
+// frame boundaries) the live deliveries did. Every chunk is stamped with
+// the worker's acknowledged event count (the absolute position of the
+// chunk's first event), so a replay that races a duplicate of an earlier
+// delivery is skipped, not double-applied; events the worker already held
+// come back in the reply's duplicate count and still count as covered. The
+// worker's ack advances per applied chunk; bcastMu held.
 func (c *Coordinator) replayTo(w *workerRef) error {
 	const maxReplayBody = 4 << 20
-	lg := c.walFor(w)
+	lg := w.g.log
 	for {
 		start := w.acked.Load()
 		if start >= lg.End() {
@@ -906,7 +832,7 @@ func (c *Coordinator) replayTo(w *workerRef) error {
 			Accepted  int `json:"accepted"`
 			Duplicate int `json:"duplicate"`
 		}
-		if err := c.postStamped(w, "/ingest", body, startEvents, &reply); err != nil {
+		if err := c.send(http.MethodPost, w, "/ingest", body, startEvents, &reply); err != nil {
 			return err
 		}
 		if reply.Accepted+reply.Duplicate != total {
@@ -924,11 +850,13 @@ func (c *Coordinator) replayTo(w *workerRef) error {
 // CatchUp probes every worker, re-aligns its acknowledged position from its
 // reported absolute position, and replays whatever tail it is missing — the
 // explicit healing entry point (POST /catchup, coordinator boot, after
-// Restore). It returns nil only when the whole fleet is caught up to the log
-// end; otherwise the error wraps ErrCatchUpIncomplete and the stragglers
-// stay marked for automatic retry.
+// Restore). Probing every worker also repatriates an inconsistent worker
+// whose position turns out to align after all (e.g. after the coordinator
+// restarted and lost its ack table). It returns nil only when every worker
+// is caught up to its group's log end; otherwise the error wraps
+// ErrCatchUpIncomplete and the stragglers stay marked for automatic retry.
 func (c *Coordinator) CatchUp() error {
-	if !c.hasWAL() {
+	if c.groups[0].log == nil {
 		return fmt.Errorf("cluster: no write-ahead log configured (start the coordinator with -wal-dir)")
 	}
 	c.mu.RLock()
@@ -948,13 +876,19 @@ func (c *Coordinator) CatchUp() error {
 	return nil
 }
 
-// Log returns the attached write-ahead log (nil without one, and nil in
-// partitioned mode — see Logs).
-func (c *Coordinator) Log() *wal.Log { return c.log }
-
-// Logs returns the per-partition write-ahead logs of a partitioned
-// coordinator (nil without durability, and nil in broadcast mode — see Log).
-func (c *Coordinator) Logs() []*wal.Log { return c.logs }
+// Logs returns the write-ahead logs, one per routing group in fleet order
+// (nil without durability): one log for a broadcast fleet, one per worker
+// for a partitioned fleet.
+func (c *Coordinator) Logs() []*wal.Log {
+	if c.groups[0].log == nil {
+		return nil
+	}
+	logs := make([]*wal.Log, len(c.groups))
+	for i, g := range c.groups {
+		logs[i] = g.log
+	}
+	return logs
+}
 
 // Estimate is a combined scatter/gather read over the worker fleet.
 type Estimate struct {
@@ -1011,7 +945,7 @@ func (c *Coordinator) Estimate() (*Estimate, error) {
 	live := c.eligible()
 	replies := make([]*workerEstimate, len(live))
 	fanout(live, func(i int, w *workerRef) error {
-		raw, err := c.get(w, "/estimate")
+		raw, err := c.get(w, "/estimate", maxReplyBytes)
 		if err != nil {
 			return err
 		}
@@ -1115,21 +1049,35 @@ func (c *Coordinator) Estimate() (*Estimate, error) {
 type Snapshot struct {
 	ClusterVersion int               `json:"cluster_version"`
 	Workers        []json.RawMessage `json:"workers"`
-	// WAL, present on snapshots taken by a log-mode coordinator, records the
-	// log position the blob describes: restoring it re-seeds every worker's
-	// acknowledged position there, and replaying the log above it brings the
-	// fleet to the present — the "restore from blob + log replay" guarantee.
+	// WAL, present on snapshots taken by a logged broadcast coordinator,
+	// records the position of its one routing group's log the blob
+	// describes: restoring it re-seeds every worker's acknowledged position
+	// there, and replaying the log above it brings the fleet to the present —
+	// the "restore from blob + log replay" guarantee.
 	WAL *WALMark `json:"wal,omitempty"`
 	// Partitioned marks a blob taken by a partitioned coordinator. Worker i's
 	// blob holds partition i's sample, which describes a share of the graph
 	// rather than all of it, so a partitioned blob restores only onto a
 	// partitioned coordinator of the same fleet size (and vice versa).
 	Partitioned bool `json:"partitioned,omitempty"`
-	// WALs, present on snapshots taken by a partitioned coordinator with
-	// per-partition logs, records each partition log's position at the blob —
-	// the per-partition analogue of WAL, with the same restore-then-replay
+	// WALs, present on snapshots taken by a logged partitioned coordinator,
+	// records each partition group's log position at the blob — the
+	// per-partition analogue of WAL, with the same restore-then-replay
 	// guarantee running independently per partition.
 	WALs []WALMark `json:"wals,omitempty"`
+}
+
+// mark returns the log position the blob records for routing group gi: the
+// one WAL mark of a broadcast blob, partition gi's WALs entry of a
+// partitioned one, or nil where the blob records none.
+func (s *Snapshot) mark(gi int) *WALMark {
+	if !s.Partitioned {
+		return s.WAL
+	}
+	if s.WALs == nil {
+		return nil
+	}
+	return &s.WALs[gi]
 }
 
 // WALMark is a stream position as the write-ahead log measures it: a frame
@@ -1144,7 +1092,7 @@ const snapshotVersion = 1
 
 // Flush fans POST /flush out to the whole fleet and blocks until every
 // worker has applied every batch delivered before the call: a fleet-wide
-// position barrier. Broadcasts are excluded while it runs (same locking as
+// position barrier. Ingests are excluded while it runs (same locking as
 // Snapshot), so when Flush returns nil a subsequent Estimate reflects every
 // completed submission. Unlike Snapshot it moves no state — this is the
 // barrier to use when the caller wants read-your-writes, not a checkpoint.
@@ -1154,7 +1102,7 @@ func (c *Coordinator) Flush() error {
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
-		return c.post(w, "/flush", nil, nil)
+		return c.send(http.MethodPost, w, "/flush", nil, -1, nil)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -1174,30 +1122,18 @@ func (c *Coordinator) Flush() error {
 func (c *Coordinator) Snapshot() ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Excluding broadcasts while the snapshot fans out is what makes the
-	// blob a single stream position: every completed broadcast is on every
-	// worker, and none is mid-flight on some workers only. Reads stay
-	// concurrent (they take neither lock exclusively).
+	// Excluding ingests while the snapshot fans out is what makes the blob a
+	// single stream position: every completed ingest is on every worker, and
+	// none is mid-flight on some workers only. Reads stay concurrent (they
+	// take neither lock exclusively).
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
 	if live := c.eligible(); len(live) < len(c.workers) {
 		return nil, fmt.Errorf("cluster: %d of %d workers are not serving (lagging or inconsistent); a cluster snapshot needs the whole fleet (catch it up or restore it first)", len(c.workers)-len(live), len(c.workers))
 	}
 	snap := Snapshot{ClusterVersion: snapshotVersion, Workers: make([]json.RawMessage, len(c.workers)), Partitioned: c.partitioned}
-	if c.log != nil {
-		// Under bcastMu no broadcast is mid-flight and every eligible worker
-		// has acked the log end, so the fleet sits at exactly this position.
-		snap.WAL = &WALMark{Position: c.log.End(), Events: c.log.Events()}
-	}
-	if c.partitioned && c.logs != nil {
-		// Same argument per partition: worker i has acked log i's end.
-		snap.WALs = make([]WALMark, len(c.logs))
-		for i, lg := range c.logs {
-			snap.WALs[i] = WALMark{Position: lg.End(), Events: lg.Events()}
-		}
-	}
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
-		raw, err := c.get(w, "/snapshot")
+		raw, err := c.get(w, "/snapshot", MaxBodyBytes)
 		if err != nil {
 			return err
 		}
@@ -1213,23 +1149,27 @@ func (c *Coordinator) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if snap.WAL != nil {
-		// The workers' own recorded positions must agree with the log —
-		// a mismatch means some worker's state is not the logged stream, and
-		// a blob that replays wrongly is worse than no blob.
-		for i, info := range infos {
-			if info.Position != snap.WAL.Events {
-				return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, the log is at %d; the blob does not describe one stream position", c.workers[i].url, info.Position, snap.WAL.Events)
-			}
+	for i, info := range infos {
+		// Under bcastMu no delivery is mid-flight and every eligible worker
+		// has acked its group's log end, so each worker's own recorded
+		// position must agree with that log — a mismatch means some worker's
+		// state is not the logged stream, and a blob that replays wrongly is
+		// worse than no blob.
+		if lg := c.workers[i].g.log; lg != nil && info.Position != lg.Events() {
+			return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, its log is at %d; the blob does not describe one stream position", c.workers[i].url, info.Position, lg.Events())
 		}
 	}
-	if snap.WALs != nil {
-		// Per-partition check: worker i's position is its substream position
-		// and must agree with partition log i.
-		for i, info := range infos {
-			if info.Position != snap.WALs[i].Events {
-				return nil, fmt.Errorf("cluster: worker %s snapshot is at position %d, its partition log is at %d; the blob does not describe one stream position", c.workers[i].url, info.Position, snap.WALs[i].Events)
-			}
+	var marks []WALMark
+	for _, g := range c.groups {
+		if g.log != nil {
+			marks = append(marks, WALMark{Position: g.log.End(), Events: g.log.Events()})
+		}
+	}
+	if marks != nil {
+		if c.partitioned {
+			snap.WALs = marks
+		} else {
+			snap.WAL = &marks[0]
 		}
 	}
 	return json.Marshal(snap)
@@ -1325,42 +1265,29 @@ func (c *Coordinator) Restore(blob []byte) error {
 		}
 		return fmt.Errorf("cluster: snapshot was taken by a broadcast coordinator; this coordinator is partitioned")
 	}
+	if snap.WALs != nil && len(snap.WALs) != len(c.groups) {
+		return fmt.Errorf("cluster: snapshot records %d partition log positions, coordinator has %d routing groups", len(snap.WALs), len(c.groups))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bcastMu.Lock()
 	defer c.bcastMu.Unlock()
-	// Position the blob against the log(s) before any worker state is
-	// touched: the restore is only useful if the log can carry the fleet from
-	// the blob's position to the present. marks[i] is worker i's mark — the
-	// shared one in broadcast mode, its partition log's in partitioned mode.
-	marks := make([]*WALMark, len(c.workers))
-	if !c.partitioned && c.log != nil {
-		mark, err := positionMark(c.log, snap.WAL)
+	// Position the blob against every group's log before any worker state is
+	// touched: the restore is only useful if each log can carry its group
+	// from the blob's position to the present.
+	marks := make(map[*group]*WALMark, len(c.groups))
+	for i, g := range c.groups {
+		if g.log == nil {
+			continue
+		}
+		mark, err := positionMark(g.log, snap.mark(i))
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", g.log.Dir(), err)
 		}
-		for i := range marks {
-			marks[i] = mark
-		}
-	}
-	if c.partitioned && c.logs != nil {
-		if snap.WALs != nil && len(snap.WALs) != len(c.logs) {
-			return fmt.Errorf("cluster: snapshot records %d partition log positions, coordinator has %d logs", len(snap.WALs), len(c.logs))
-		}
-		for i, lg := range c.logs {
-			var m *WALMark
-			if snap.WALs != nil {
-				m = &snap.WALs[i]
-			}
-			mark, err := positionMark(lg, m)
-			if err != nil {
-				return fmt.Errorf("partition %d: %w", i, err)
-			}
-			marks[i] = mark
-		}
+		marks[g] = mark
 	}
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
-		return c.post(w, "/restore", snap.Workers[i], nil)
+		return c.send(http.MethodPost, w, "/restore", snap.Workers[i], -1, nil)
 	})
 	var firstErr error
 	for i, err := range errs {
@@ -1372,10 +1299,10 @@ func (c *Coordinator) Restore(blob []byte) error {
 			}
 		} else {
 			w.inconsistent.Store(false)
-			if mark := marks[i]; mark != nil {
+			if mark := marks[w.g]; mark != nil {
 				w.acked.Store(mark.Position)
 				w.ackedEvents.Store(mark.Events)
-				w.lagging.Store(mark.Position < c.walFor(w).End())
+				w.lagging.Store(mark.Position < w.g.log.End())
 			}
 		}
 	}
@@ -1383,12 +1310,11 @@ func (c *Coordinator) Restore(blob []byte) error {
 		return firstErr
 	}
 	// Where a blob is behind its log's present, finish the job by replay, so
-	// a successful restore always lands the fleet at the log end(s). A replay
-	// failure is retried automatically at the next broadcast.
+	// a successful restore always lands every worker at its group's log end.
+	// A replay failure is retried automatically at the next ingest.
 	var replayErr error
-	for i, w := range c.workers {
-		mark := marks[i]
-		if mark == nil || mark.Position >= c.walFor(w).End() {
+	for _, w := range c.workers {
+		if mark := marks[w.g]; mark == nil || mark.Position >= w.g.log.End() {
 			continue
 		}
 		if err := c.replayTo(w); err != nil {
@@ -1454,7 +1380,7 @@ func (c *Coordinator) SwapPolicy(artifact []byte) error {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Excluding broadcasts while the swap fans out gives every worker the
+	// Excluding ingests while the swap fans out gives every worker the
 	// weight flip at the same stream position — the fleet analogue of the
 	// ensemble's quiesce barrier.
 	c.bcastMu.Lock()
@@ -1463,7 +1389,7 @@ func (c *Coordinator) SwapPolicy(artifact []byte) error {
 		return fmt.Errorf("cluster: %d of %d workers are not serving (lagging or inconsistent); a policy swap needs the whole fleet (catch it up or restore it first)", len(c.workers)-len(live), len(c.workers))
 	}
 	errs := fanout(c.workers, func(i int, w *workerRef) error {
-		return c.put(w, "/policy", artifact, nil)
+		return c.send(http.MethodPut, w, "/policy", artifact, -1, nil)
 	})
 	var (
 		firstErr error
@@ -1514,7 +1440,7 @@ func (c *Coordinator) PolicyStatus() (json.RawMessage, error) {
 	}
 	replies := make([][]byte, len(live))
 	errs := fanout(live, func(i int, w *workerRef) error {
-		raw, err := c.get(w, "/policy")
+		raw, err := c.get(w, "/policy", maxReplyBytes)
 		replies[i] = raw
 		return err
 	})
@@ -1553,18 +1479,18 @@ func (c *Coordinator) PolicyStatus() (json.RawMessage, error) {
 type WorkerHealth struct {
 	URL string `json:"url"`
 	// Consistent is false once the worker's state cannot be healed by log
-	// replay (or, without a log, once it has missed any broadcast); it needs
+	// replay (or, without a log, once it has missed any delivery); it needs
 	// a cluster restore to rejoin.
 	Consistent bool `json:"consistent"`
 	// Reachable is whether the worker answered this probe.
 	Reachable bool   `json:"reachable"`
 	Error     string `json:"error,omitempty"`
-	// Lagging (log mode) is true while the worker is behind the log and
-	// awaiting catch-up replay; it is excluded from reads meanwhile.
+	// Lagging (logged groups) is true while the worker is behind its group's
+	// log and awaiting catch-up replay; it is excluded from reads meanwhile.
 	Lagging bool `json:"lagging,omitempty"`
-	// Position is the worker's self-reported absolute stream position (log
-	// mode, reachable workers only); Acked is the newest log position the
-	// coordinator has confirmed on it.
+	// Position is the worker's self-reported absolute stream position
+	// (logged groups, reachable workers only); Acked is the newest log
+	// position the coordinator has confirmed on it.
 	Position int64  `json:"position,omitempty"`
 	Acked    uint64 `json:"acked,omitempty"`
 	// Policy is the worker's self-reported active weight function: a learned
@@ -1572,7 +1498,7 @@ type WorkerHealth struct {
 	Policy string `json:"policy,omitempty"`
 }
 
-// WALHealth is the coordinator's view of its write-ahead log.
+// WALHealth is the coordinator's view of one routing group's write-ahead log.
 type WALHealth struct {
 	Dir string `json:"dir"`
 	// Base..End is the retained position range; Events the cumulative event
@@ -1616,8 +1542,8 @@ type Health struct {
 	// mis-deployed worker (wrong -partition-index, or not partitioned at all)
 	// degrades health instead of silently biasing every read.
 	Partitioned bool `json:"partitioned,omitempty"`
-	// WAL reports the write-ahead log's retained range (broadcast log mode);
-	// WALs the per-partition ranges (partitioned log mode, fleet order).
+	// WAL reports the retained range of a broadcast fleet's one log; WALs
+	// the per-partition ranges of a partitioned fleet (fleet order).
 	WAL  *WALHealth  `json:"wal,omitempty"`
 	WALs []WALHealth `json:"wals,omitempty"`
 	// WorkersDetail lists every configured worker.
@@ -1633,25 +1559,17 @@ type Health struct {
 func (c *Coordinator) Health() Health {
 	h := Health{Workers: len(c.workers), Quorum: c.quorum, Partitioned: c.partitioned}
 	h.WorkersDetail = make([]WorkerHealth, len(c.workers))
-	if c.log != nil {
-		h.WAL = &WALHealth{
-			Dir:      c.log.Dir(),
-			Base:     c.log.Base(),
-			End:      c.log.End(),
-			Events:   c.log.Events(),
-			Segments: c.log.Segments(),
+	var logs []WALHealth
+	for _, g := range c.groups {
+		if lg := g.log; lg != nil {
+			logs = append(logs, WALHealth{Dir: lg.Dir(), Base: lg.Base(), End: lg.End(), Events: lg.Events(), Segments: lg.Segments()})
 		}
 	}
-	if c.partitioned && c.logs != nil {
-		h.WALs = make([]WALHealth, len(c.logs))
-		for i, lg := range c.logs {
-			h.WALs[i] = WALHealth{
-				Dir:      lg.Dir(),
-				Base:     lg.Base(),
-				End:      lg.End(),
-				Events:   lg.Events(),
-				Segments: lg.Segments(),
-			}
+	if logs != nil {
+		if c.partitioned {
+			h.WALs = logs
+		} else {
+			h.WAL = &logs[0]
 		}
 	}
 	type workerHealthz struct {
@@ -1669,10 +1587,10 @@ func (c *Coordinator) Health() Health {
 	probes := make([]*workerHealthz, len(c.workers))
 	fanout(c.workers, func(i int, w *workerRef) error {
 		wh := WorkerHealth{URL: w.url, Consistent: !w.inconsistent.Load(), Lagging: w.lagging.Load()}
-		if c.hasWAL() {
+		if w.g.log != nil {
 			wh.Acked = w.acked.Load()
 		}
-		raw, err := c.get(w, "/healthz")
+		raw, err := c.get(w, "/healthz", maxReplyBytes)
 		if err != nil {
 			wh.Error = err.Error()
 		} else {
@@ -1681,7 +1599,7 @@ func (c *Coordinator) Health() Health {
 			if json.Unmarshal(raw, &probe) == nil {
 				probes[i] = &probe
 				wh.Policy = probe.Policy
-				if c.hasWAL() {
+				if w.g.log != nil {
 					wh.Position = probe.Position
 				}
 			}

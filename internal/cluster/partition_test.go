@@ -387,7 +387,9 @@ func TestPartitionedHealthVerifiesSlots(t *testing.T) {
 	}
 }
 
-// TestPartitionedConfigValidation pins New's partitioned-mode rules.
+// TestPartitionedConfigValidation pins New's partitioned-mode rules and the
+// one-log-per-routing-group rule: a partitioned fleet takes one log per
+// worker, a broadcast fleet exactly one.
 func TestPartitionedConfigValidation(t *testing.T) {
 	urls := []string{"http://a:1", "http://b:2", "http://c:3"}
 	lg := func() *wal.Log {
@@ -405,10 +407,9 @@ func TestPartitionedConfigValidation(t *testing.T) {
 	}{
 		{"combiner", cluster.Config{Workers: urls, Partitioned: true, Combiner: func(xs []float64) float64 { return 0 }}, "do not set Combiner"},
 		{"quorum", cluster.Config{Workers: urls, Partitioned: true, Quorum: 2}, "whole fleet"},
-		{"single-log", cluster.Config{Workers: urls, Partitioned: true, Log: lg()}, "set Logs"},
 		{"short-logs", cluster.Config{Workers: urls, Partitioned: true, Logs: []*wal.Log{lg()}}, "index-aligned"},
 		{"nil-log-entry", cluster.Config{Workers: urls, Partitioned: true, Logs: []*wal.Log{lg(), nil, lg()}}, "is nil"},
-		{"logs-on-broadcast", cluster.Config{Workers: urls, Logs: []*wal.Log{lg(), lg(), lg()}}, "partitioned mode"},
+		{"logs-on-broadcast", cluster.Config{Workers: urls, Logs: []*wal.Log{lg(), lg(), lg()}}, "broadcast takes one log"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -491,7 +492,7 @@ func TestClusterAckAmbiguityDelayedDuplicate(t *testing.T) {
 	}
 	t.Cleanup(func() { lg.Close() })
 	dt := &duplicatingTransport{base: http.DefaultTransport}
-	coord, err := cluster.New(cluster.Config{Workers: urls, Log: lg, Client: &http.Client{Transport: dt}})
+	coord, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{lg}, Client: &http.Client{Transport: dt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,7 @@ func TestClusterAckAmbiguityTimeoutAfterApply(t *testing.T) {
 	}
 	t.Cleanup(func() { lg.Close() })
 	lt := &lostResponseTransport{base: http.DefaultTransport}
-	coord, err := cluster.New(cluster.Config{Workers: urls, Log: lg, Client: &http.Client{Transport: lt}})
+	coord, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{lg}, Client: &http.Client{Transport: lt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +636,7 @@ func TestRetentionPinnedWhenFleetInconsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lg.Close() })
-	coord, err := cluster.New(cluster.Config{Workers: urls, Log: lg, Quorum: 1})
+	coord, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{lg}, Quorum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func walFleet(t *testing.T, budgets []int, seeds []int64, opts wal.Options) ([]*
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	coord, err := cluster.New(cluster.Config{Workers: urls, Log: log})
+	coord, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{log}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestCoordinatorCrashReopenTornFrame(t *testing.T) {
 	for i, w := range workers {
 		urls[i] = "http://" + w.addr
 	}
-	coordB, err := cluster.New(cluster.Config{Workers: urls, Log: logB})
+	coordB, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{logB}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRestoreSeedsAcksAndReplaysTail(t *testing.T) {
 	// construction seeds — the blob carries the RNG state) behind a new
 	// coordinator sharing the log.
 	urlsC, _ := testFleet(t, budgets, []int64{991, 992, 993})
-	coordC, err := cluster.New(cluster.Config{Workers: urlsC, Log: log})
+	coordC, err := cluster.New(cluster.Config{Workers: urlsC, Logs: []*wal.Log{log}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestBeyondRetentionRestartNeedsRestore(t *testing.T) {
 	for i, w := range workers {
 		urls[i] = "http://" + w.addr
 	}
-	coordB, err := cluster.New(cluster.Config{Workers: urls, Log: freshLog})
+	coordB, err := cluster.New(cluster.Config{Workers: urls, Logs: []*wal.Log{freshLog}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type Coordinator struct {
 // gap until they come up.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
+		cfg.MaxBodyBytes = cluster.MaxBodyBytes
 	}
 	coord, err := cluster.New(cfg.Cluster)
 	if err != nil {
@@ -128,21 +128,17 @@ func (c *Coordinator) handleCatchUp(w http.ResponseWriter, r *http.Request) {
 		"caught_up": true,
 		"workers":   c.coord.Workers(),
 	}
-	if logs := c.coord.Logs(); logs != nil {
-		// Partitioned mode: one position per partition log, fleet order.
-		type mark struct {
-			Position uint64 `json:"position"`
-			Events   int64  `json:"events"`
-		}
-		marks := make([]mark, len(logs))
+	logs := c.coord.Logs()
+	if c.coord.Partitioned() {
+		// One position per partition log, fleet order.
+		marks := make([]cluster.WALMark, len(logs))
 		for i, lg := range logs {
-			marks[i] = mark{Position: lg.End(), Events: lg.Events()}
+			marks[i] = cluster.WALMark{Position: lg.End(), Events: lg.Events()}
 		}
 		reply["partitions"] = marks
 	} else {
-		log := c.coord.Log()
-		reply["position"] = log.End()
-		reply["events"] = log.Events()
+		reply["position"] = logs[0].End()
+		reply["events"] = logs[0].Events()
 	}
 	writeJSON(w, reply)
 }

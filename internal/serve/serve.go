@@ -37,6 +37,7 @@ import (
 	wsd "repro"
 
 	"repro/internal/cli"
+	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/internal/shard"
 	"repro/internal/stream"
@@ -90,8 +91,6 @@ type Config struct {
 	// Mutually exclusive with Window and with Patterns.
 	Halflife float64
 }
-
-const defaultMaxBodyBytes = 64 << 20
 
 // Server fronts one sharded counter. Construct with New; the zero value is
 // not usable.
@@ -159,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Shards = 1
 	}
 	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = defaultMaxBodyBytes
+		cfg.MaxBodyBytes = cluster.MaxBodyBytes
 	}
 	if cfg.PartitionCount > 0 {
 		// Clip before appending so the caller's slice is never mutated; the

@@ -37,7 +37,7 @@ func TestCatchUpEndpointAndWALHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	coord, err := NewCoordinator(CoordinatorConfig{Cluster: cluster.Config{Workers: urls, Log: log}})
+	coord, err := NewCoordinator(CoordinatorConfig{Cluster: cluster.Config{Workers: urls, Logs: []*wal.Log{log}}})
 	if err != nil {
 		t.Fatal(err)
 	}
